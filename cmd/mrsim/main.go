@@ -46,7 +46,6 @@ func main() {
 		skew       = flag.Bool("skew", false, "enable node performance skew")
 		seed       = flag.Int64("seed", 1, "skew seed")
 		verbose    = flag.Bool("v", false, "print per-iteration dissections")
-		timeline   = flag.String("timeline", "", "write the legacy flat task timeline as JSON to this file")
 		traceOut   = flag.String("trace", "", "write a Chrome trace_event JSON to this file ('-' = stdout)")
 		traceJSONL = flag.String("trace-jsonl", "", "write trace events as JSONL to this file ('-' = stdout)")
 	)
@@ -156,19 +155,6 @@ func main() {
 	res, err := eng.Run(spec, pol)
 	if err != nil {
 		fatal("%v", err)
-	}
-	if *timeline != "" {
-		f, err := os.Create(*timeline)
-		if err != nil {
-			fatal("%v", err)
-		}
-		if err := res.WriteTrace(f); err != nil {
-			fatal("writing timeline: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			fatal("%v", err)
-		}
-		fmt.Fprintf(report, "timeline written to %s\n", *timeline)
 	}
 	if tracer != nil {
 		writeTrace(report, tracer, *traceOut, trace.WriteChrome, "Chrome trace")

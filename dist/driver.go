@@ -459,59 +459,24 @@ func (d *Driver) shuffleAddrOf(exec int) string {
 // ---- job execution ----
 
 // RunJob runs one registered job on the cluster and returns its merged
-// result bytes. The map and reduce stages are scheduled by the driver's
-// engine.Runtime; executor loss mid-job flows through the engine's
-// sticky dead set and the shared lineage-recovery loop exactly as in
-// the local runtime.
+// result bytes. A job is a chain of generations, each one shuffle:
+// generation 0 is written by the map stage, each of the spec.Steps
+// superstep stages gathers generation g-1 and writes generation g, and
+// the final reduce gathers the last generation. A job without a Step
+// function has Steps = 0: map, then reduce. The stages are scheduled by
+// the driver's engine.Runtime; executor loss mid-job flows through the
+// engine's sticky dead set and the shared lineage-recovery loop exactly
+// as in the local runtime. All generations are kept until the job ends:
+// lineage repair after an executor loss re-runs only the missing
+// partitions of earlier generations, in dependency order.
 func (d *Driver) RunJob(spec JobSpec) ([]byte, error) {
-	spec, err := spec.withDefaults(d.cfg.Executors)
-	if err != nil {
-		return nil, err
-	}
-	job, err := LookupJob(spec.Job)
+	spec, job, err := spec.withDefaults(d.cfg.Executors)
 	if err != nil {
 		return nil, err
 	}
 	if err := d.WaitReady(10 * time.Second); err != nil {
 		return nil, err
 	}
-	if job.Step != nil && spec.Steps > 0 {
-		return d.runIterativeJob(job, spec)
-	}
-	id := d.rt.Shuffle().Register(spec.MapParts, spec.ReduceParts)
-	defer d.dropShuffle(id)
-	d.logf("job %s: shuffle=%d mapParts=%d reduceParts=%d", spec.Job, id, spec.MapParts, spec.ReduceParts)
-
-	all := make([]int, spec.MapParts)
-	for i := range all {
-		all[i] = i
-	}
-	if err := d.runMapStage(spec, id, all); err != nil {
-		return nil, err
-	}
-
-	results, err := d.runReduceStage(spec, id, func(miss *engine.MapOutputMissingError) error {
-		d.logf("reduce stage missing shuffle %d map partition %d; re-running lost maps", miss.Shuffle, miss.MapPart)
-		return d.rerunMissingMaps(spec, id)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return job.Merge(spec, results)
-}
-
-// runIterativeJob runs a Step-bearing job as a superstep chain:
-// generation 0 is the map stage's shuffle; each of the Steps superstep
-// stages gathers generation g-1 and writes generation g; the final
-// reduce gathers the last generation. Every stage's tasks carry
-// preferred executors from the driver's ownership provenance
-// (Runtime.ReducePreferences over the gathered generation), so under
-// the shuffle-locality policy a bucket stays on the executor that
-// already holds its data and the superstep fetch is the executor-local
-// zero-copy path. All generations are kept until the job ends:
-// lineage repair after an executor loss re-runs only the missing
-// partitions of earlier generations, in dependency order.
-func (d *Driver) runIterativeJob(job Job, spec JobSpec) ([]byte, error) {
 	gens := make([]int, spec.Steps+1)
 	gens[0] = d.rt.Shuffle().Register(spec.MapParts, spec.ReduceParts)
 	for g := 1; g <= spec.Steps; g++ {
@@ -522,64 +487,88 @@ func (d *Driver) runIterativeJob(job Job, spec JobSpec) ([]byte, error) {
 			d.dropShuffle(id)
 		}
 	}()
-	d.logf("job %s: iterative steps=%d generations=%v mapParts=%d reduceParts=%d",
+	d.logf("job %s: steps=%d generations=%v mapParts=%d reduceParts=%d",
 		spec.Job, spec.Steps, gens, spec.MapParts, spec.ReduceParts)
 
-	all := make([]int, spec.MapParts)
-	for i := range all {
-		all[i] = i
-	}
-	if err := d.runMapStage(spec, gens[0], all); err != nil {
-		return nil, err
-	}
-	for g := 1; g <= spec.Steps; g++ {
-		parts := make([]int, spec.ReduceParts)
+	results := make([][]byte, spec.ReduceParts)
+	for g := 0; g <= spec.Steps+1; g++ {
+		n := spec.ReduceParts
+		if g == 0 {
+			n = spec.MapParts
+		}
+		parts := make([]int, n)
 		for i := range parts {
 			parts[i] = i
 		}
-		if err := d.runStepParts(spec, gens, g, parts); err != nil {
+		if err := d.runGeneration(spec, gens, g, parts, results); err != nil {
 			return nil, err
 		}
 	}
-	results, err := d.runReduceStage(spec, gens[spec.Steps], func(miss *engine.MapOutputMissingError) error {
-		d.logf("final reduce missing shuffle %d map partition %d; repairing generation chain", miss.Shuffle, miss.MapPart)
-		return d.repairChain(spec, gens, spec.Steps)
-	})
-	if err != nil {
-		return nil, err
+	for r, res := range results {
+		if res == nil {
+			return nil, fmt.Errorf("dist: reduce partition %d produced no result", r)
+		}
 	}
 	return job.Merge(spec, results)
 }
 
-// runStepParts runs (or re-runs) the given partitions of superstep g,
-// preferring each partition's dominant owner of generation g-1. A
-// missing-map-output failure repairs generations 0..g-1 and retries.
-func (d *Driver) runStepParts(spec JobSpec, gens []int, g int, parts []int) error {
-	prefs := d.rt.ReducePreferences([]int{gens[g-1]}, spec.ReduceParts)
+// runGeneration runs (or re-runs) the given partitions of stage g of
+// the job's chain: the map stage (g = 0), superstep g (1..Steps), or
+// the final reduce (g = Steps+1), whose encoded outputs land in
+// results. Every stage after the map stage gathers generation g-1, and
+// its tasks prefer each partition's dominant owner of that generation
+// (Runtime.ReducePreferences, recomputed per call so preferences follow
+// re-run partitions); under the shuffle-locality policy a bucket stays
+// on the executor that already holds its data and the fetch is the
+// executor-local zero-copy path. A missing-map-output failure repairs
+// generations 0..g-1 and retries, bounded by maxJobRecoveries.
+func (d *Driver) runGeneration(spec JobSpec, gens []int, g int, parts []int, results [][]byte) error {
+	var name string
+	var prefs [][]int
+	switch {
+	case g == 0:
+		name = fmt.Sprintf("%s-map-%d", spec.Job, gens[0])
+	case g <= spec.Steps:
+		name = fmt.Sprintf("%s-step%d-%d", spec.Job, g, gens[g])
+	default:
+		name = fmt.Sprintf("%s-reduce-%d", spec.Job, gens[spec.Steps])
+	}
+	if g > 0 {
+		prefs = d.rt.ReducePreferences([]int{gens[g-1]}, spec.ReduceParts)
+	}
+	var resMu sync.Mutex
 	tasks := make([]engine.TaskSpec, len(parts))
 	for i, p := range parts {
-		p := p
 		var pref []int
 		if p < len(prefs) {
 			pref = prefs[p]
 		}
 		tasks[i] = engine.TaskSpec{Preferred: pref, Run: func(tc *engine.TaskContext) error {
-			return d.runStepTask(spec, gens, g, p, tc)
+			done, err := d.runTask(spec, gens, g, p, tc)
+			if err != nil {
+				return err
+			}
+			if g > spec.Steps {
+				resMu.Lock()
+				results[p] = done.Result
+				resMu.Unlock()
+			}
+			return nil
 		}}
 	}
 	return engine.RunStageRecovering(maxJobRecoveries,
-		func() error { return d.rt.RunStage(fmt.Sprintf("%s-step%d-%d", spec.Job, g, gens[g]), tasks) },
+		func() error { return d.rt.RunStage(name, tasks) },
 		func(miss *engine.MapOutputMissingError) error {
-			d.logf("step %d missing shuffle %d map partition %d; repairing generation chain", g, miss.Shuffle, miss.MapPart)
+			d.logf("stage %s missing shuffle %d map partition %d; repairing generation chain", name, miss.Shuffle, miss.MapPart)
 			return d.repairChain(spec, gens, g-1)
 		})
 }
 
 // repairChain re-executes the missing partitions of generations
-// 0..upto in dependency order — the iterative job's lineage recovery.
-// Re-running a later generation's partitions may itself trip over a
-// lost earlier one; each repaired step stage recovers recursively
-// through runStepParts, bounded by maxJobRecoveries per stage.
+// 0..upto in dependency order — the job's lineage recovery. Re-running
+// a later generation's partitions may itself trip over a lost earlier
+// one; each repaired stage recovers recursively through runGeneration,
+// bounded by maxJobRecoveries per stage.
 func (d *Driver) repairChain(spec JobSpec, gens []int, upto int) error {
 	for g := 0; g <= upto; g++ {
 		missing := d.rt.Shuffle().MissingParts(gens[g])
@@ -587,161 +576,43 @@ func (d *Driver) repairChain(spec JobSpec, gens []int, upto int) error {
 			continue
 		}
 		d.logf("repairing generation %d (shuffle %d): partitions %v", g, gens[g], missing)
-		if g == 0 {
-			if err := d.runMapStage(spec, gens[0], missing); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := d.runStepParts(spec, gens, g, missing); err != nil {
+		if err := d.runGeneration(spec, gens, g, missing, nil); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// runStepTask proxies one superstep task to the executor the engine
-// picked, then records the executor's reported per-bucket volumes in
-// the driver's placeholder provenance row for the next stage's
-// locality scoring.
-func (d *Driver) runStepTask(spec JobSpec, gens []int, g, part int, tc *engine.TaskContext) error {
-	gather := gens[g-1]
-	owners := d.rt.Shuffle().Owners(gather)
-	locs := make([]Loc, len(owners))
-	for m, o := range owners {
-		if o < 0 || d.live.Dead(o) {
-			return &engine.MapOutputMissingError{Shuffle: gather, MapPart: m}
-		}
-		locs[m] = Loc{MapPart: m, Exec: o, Addr: d.shuffleAddrOf(o)}
+// runTask proxies one task of stage g to the executor the engine
+// picked. A gathering task's fetch locations are computed per attempt
+// from the driver's current provenance, so an attempt after an executor
+// loss either sees the repaired owners or surfaces
+// MapOutputMissingError immediately instead of dialing a dead peer. A
+// task that writes a generation leaves its chunks in the executor's
+// local store; the driver records a placeholder row carrying the
+// executor-reported per-bucket byte weights, so the shared ShuffleStore
+// tracks who owns each partition and how much — for
+// Owners/MissingParts/InvalidateOwner provenance and locality scoring —
+// without holding the data.
+func (d *Driver) runTask(spec JobSpec, gens []int, g, part int, tc *engine.TaskContext) (*TaskDone, error) {
+	writes, gathers := g <= spec.Steps, g > 0
+	t := &RunTask{Kind: KindReduce, Spec: spec, Part: part, Attempt: tc.Attempt}
+	if writes {
+		t.Kind, t.Shuffle, t.Step = KindMap, gens[g], g
 	}
-	start := time.Now()
-	done, err := d.dispatch(tc.Executor, &RunTask{
-		Kind: KindStep, Spec: spec, Shuffle: gens[g], Part: part, Attempt: tc.Attempt,
-		Step: g, GatherShuffle: gather, Locations: locs,
-	})
-	if err != nil {
-		return err
-	}
-	if done.UnreachableExec >= 0 {
-		d.executorGone(done.UnreachableExec, fmt.Sprintf("shuffle server unreachable (reported by executor %d)", tc.Executor))
-	}
-	if done.Miss {
-		return &engine.MapOutputMissingError{Shuffle: done.MissShuffle, MapPart: done.MissMapPart}
-	}
-	if done.Err != "" {
-		return errors.New(done.Err)
-	}
-	if err := d.rt.Shuffle().PutChunkMetaFrom(gens[g], part, tc.Executor, done.BucketBytes); err != nil {
-		return err
-	}
-	tc.AddShuffleRecords(done.Records)
-	tc.AddShuffleBytes(float64(done.Bytes))
-	d.emitFetches(gather, part, tc, start, done)
-	return nil
-}
-
-// runReduceStage runs the reduce stage gathering shuffle id, with
-// preferred executors from ownership provenance and the given
-// lineage-repair callback.
-func (d *Driver) runReduceStage(spec JobSpec, id int, repair func(*engine.MapOutputMissingError) error) ([][]byte, error) {
-	prefs := d.rt.ReducePreferences([]int{id}, spec.ReduceParts)
-	results := make([][]byte, spec.ReduceParts)
-	var resMu sync.Mutex
-	tasks := make([]engine.TaskSpec, spec.ReduceParts)
-	for r := 0; r < spec.ReduceParts; r++ {
-		r := r
-		var pref []int
-		if r < len(prefs) {
-			pref = prefs[r]
-		}
-		tasks[r] = engine.TaskSpec{Preferred: pref, Run: func(tc *engine.TaskContext) error {
-			res, err := d.runReduceTask(spec, id, r, tc)
-			if err != nil {
-				return err
+	if gathers {
+		t.GatherShuffle = gens[g-1]
+		owners := d.rt.Shuffle().Owners(t.GatherShuffle)
+		t.Locations = make([]Loc, len(owners))
+		for m, o := range owners {
+			if o < 0 || d.live.Dead(o) {
+				return nil, &engine.MapOutputMissingError{Shuffle: t.GatherShuffle, MapPart: m}
 			}
-			resMu.Lock()
-			results[r] = res
-			resMu.Unlock()
-			return nil
-		}}
-	}
-	err := engine.RunStageRecovering(maxJobRecoveries,
-		func() error { return d.rt.RunStage(fmt.Sprintf("%s-reduce-%d", spec.Job, id), tasks) },
-		repair)
-	if err != nil {
-		return nil, err
-	}
-	for r, res := range results {
-		if res == nil {
-			return nil, fmt.Errorf("dist: reduce partition %d produced no result", r)
+			t.Locations[m] = Loc{MapPart: m, Exec: o, Addr: d.shuffleAddrOf(o)}
 		}
-	}
-	return results, nil
-}
-
-// runMapStage runs the map tasks for the given partitions.
-func (d *Driver) runMapStage(spec JobSpec, id int, parts []int) error {
-	tasks := make([]engine.TaskSpec, len(parts))
-	for i, p := range parts {
-		p := p
-		tasks[i] = engine.TaskSpec{Run: func(tc *engine.TaskContext) error {
-			return d.runMapTask(spec, id, p, tc)
-		}}
-	}
-	return d.rt.RunStage(fmt.Sprintf("%s-map-%d", spec.Job, id), tasks)
-}
-
-// rerunMissingMaps re-executes exactly the map partitions the driver's
-// provenance says are missing (invalidated by executor loss).
-func (d *Driver) rerunMissingMaps(spec JobSpec, id int) error {
-	missing := d.rt.Shuffle().MissingParts(id)
-	if len(missing) == 0 {
-		return nil
-	}
-	return d.runMapStage(spec, id, missing)
-}
-
-// runMapTask proxies one map task to the executor the engine picked.
-// The executor keeps the chunks in its local store; the driver records
-// a placeholder row — carrying the executor-reported per-bucket byte
-// weights — so the shared ShuffleStore tracks who owns each partition
-// and how much, for Owners/MissingParts/InvalidateOwner provenance and
-// locality scoring, without holding the data.
-func (d *Driver) runMapTask(spec JobSpec, id, part int, tc *engine.TaskContext) error {
-	done, err := d.dispatch(tc.Executor, &RunTask{
-		Kind: KindMap, Spec: spec, Shuffle: id, Part: part, Attempt: tc.Attempt,
-	})
-	if err != nil {
-		return err
-	}
-	if done.Err != "" {
-		return errors.New(done.Err)
-	}
-	if err := d.rt.Shuffle().PutChunkMetaFrom(id, part, tc.Executor, done.BucketBytes); err != nil {
-		return err
-	}
-	tc.AddShuffleRecords(done.Records)
-	tc.AddShuffleBytes(float64(done.Bytes))
-	return nil
-}
-
-// runReduceTask proxies one reduce task. Fetch locations are computed
-// per attempt from the driver's current provenance, so an attempt after
-// an executor loss either sees the repaired owners or surfaces
-// MapOutputMissingError immediately instead of dialing a dead peer.
-func (d *Driver) runReduceTask(spec JobSpec, id, part int, tc *engine.TaskContext) ([]byte, error) {
-	owners := d.rt.Shuffle().Owners(id)
-	locs := make([]Loc, len(owners))
-	for m, o := range owners {
-		if o < 0 || d.live.Dead(o) {
-			return nil, &engine.MapOutputMissingError{Shuffle: id, MapPart: m}
-		}
-		locs[m] = Loc{MapPart: m, Exec: o, Addr: d.shuffleAddrOf(o)}
 	}
 	start := time.Now()
-	done, err := d.dispatch(tc.Executor, &RunTask{
-		Kind: KindReduce, Spec: spec, Shuffle: id, Part: part, Attempt: tc.Attempt, Locations: locs,
-	})
+	done, err := d.dispatch(tc.Executor, t)
 	if err != nil {
 		return nil, err
 	}
@@ -749,7 +620,7 @@ func (d *Driver) runReduceTask(spec JobSpec, id, part int, tc *engine.TaskContex
 		// A peer's shuffle server is unreachable after bounded retries:
 		// treat the fetch failure as executor loss (the Spark discipline)
 		// so its outputs are invalidated and lineage rebuilds them,
-		// rather than burning reduce retries against a dead address.
+		// rather than burning retries against a dead address.
 		d.executorGone(done.UnreachableExec, fmt.Sprintf("shuffle server unreachable (reported by executor %d)", tc.Executor))
 	}
 	if done.Miss {
@@ -758,8 +629,17 @@ func (d *Driver) runReduceTask(spec JobSpec, id, part int, tc *engine.TaskContex
 	if done.Err != "" {
 		return nil, errors.New(done.Err)
 	}
-	d.emitFetches(id, part, tc, start, done)
-	return done.Result, nil
+	if writes {
+		if err := d.rt.Shuffle().PutChunkMetaFrom(t.Shuffle, part, tc.Executor, done.BucketBytes); err != nil {
+			return nil, err
+		}
+		tc.AddShuffleRecords(done.Records)
+		tc.AddShuffleBytes(float64(done.Bytes))
+	}
+	if gathers {
+		d.emitFetches(t.GatherShuffle, part, tc, start, done)
+	}
+	return done, nil
 }
 
 // emitFetches publishes the executor-reported fetch volumes as listener

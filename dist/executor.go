@@ -44,7 +44,7 @@ type ExecutorConfig struct {
 }
 
 // Executor is one worker of a distributed cluster: it registers with
-// the driver, heartbeats, runs dispatched map/reduce tasks against a
+// the driver, heartbeats, runs dispatched map/step/reduce tasks against a
 // local shuffle store, and serves that store to peers over its shuffle
 // server.
 type Executor struct {
@@ -224,27 +224,32 @@ func (e *Executor) runTask(t *RunTask) {
 }
 
 func (e *Executor) execute(t *RunTask) *TaskDone {
+	// The one place a report is built: -1 is "none" for both sentinels.
+	done := &TaskDone{MissMapPart: -1, UnreachableExec: -1}
 	now := e.elapsed()
 	if e.inj != nil {
 		if d := e.inj.HangDuration(e.cfg.ID, now); d > 0 {
 			time.Sleep(time.Duration(d * float64(time.Second)))
 		}
 		if err := e.inj.TaskFailure(e.cfg.ID, t.Part, now); err != nil {
-			return &TaskDone{Err: err.Error(), MissMapPart: -1, UnreachableExec: -1}
+			done.Err = err.Error()
+			return done
 		}
 	}
 	started := time.Now()
-	var done *TaskDone
-	switch t.Kind {
-	case KindMap:
-		done = e.runMap(t)
-	case KindReduce:
-		done = e.runReduce(t)
-	case KindStep:
-		done = e.runStep(t)
-	default:
-		done = &TaskDone{Err: fmt.Sprintf("dist: unknown task kind %q", t.Kind),
-			MissMapPart: -1, UnreachableExec: -1}
+	job, err := LookupJob(t.Spec.Job)
+	if err == nil {
+		switch t.Kind {
+		case KindMap:
+			err = e.runMap(t, job, done)
+		case KindReduce:
+			err = e.runReduce(t, job, done)
+		default:
+			err = fmt.Errorf("dist: unknown task kind %q", t.Kind)
+		}
+	}
+	if err != nil {
+		done.Err = err.Error()
 	}
 	if e.inj != nil {
 		if f := e.inj.SlowFactor(e.cfg.ID, now); f > 1 {
@@ -256,111 +261,75 @@ func (e *Executor) execute(t *RunTask) *TaskDone {
 	return done
 }
 
-func (e *Executor) runMap(t *RunTask) *TaskDone {
-	done := &TaskDone{MissMapPart: -1, UnreachableExec: -1}
-	job, err := LookupJob(t.Spec.Job)
-	if err != nil {
-		done.Err = err.Error()
-		return done
+// runMap executes one task that writes a generation of the job's chain
+// into the local store: Job.Map for generation 0, or Job.Step for
+// superstep t.Step, which first gathers generation t.Step-1 (under the
+// stable partitioner and locality placement nearly all of it is
+// self-owned, so the gather is the zero-copy path).
+func (e *Executor) runMap(t *RunTask, job Job, done *TaskDone) error {
+	var out MapOutput
+	var err error
+	mapParts := t.Spec.MapParts
+	if t.Step == 0 {
+		out, err = job.Map(t.Spec, t.Part)
+	} else {
+		if job.Step == nil {
+			return fmt.Errorf("dist: job %q has no step function", t.Spec.Job)
+		}
+		mapParts = t.Spec.ReduceParts
+		var chunks []any
+		if chunks, err = e.gather(t, done); err != nil {
+			return err
+		}
+		out, err = job.Step(t.Spec, t.Step, t.Part, chunks)
 	}
-	if err := e.store.RegisterWithID(t.Shuffle, t.Spec.MapParts, t.Spec.ReduceParts); err != nil {
-		done.Err = err.Error()
-		return done
-	}
-	out, err := job.Map(t.Spec, t.Part)
 	if err != nil {
-		done.Err = err.Error()
-		return done
+		return err
+	}
+	if err := e.store.RegisterWithID(t.Shuffle, mapParts, t.Spec.ReduceParts); err != nil {
+		return err
 	}
 	if err := e.store.PutChunksFrom(t.Shuffle, t.Part, e.cfg.ID, out.Buckets); err != nil {
-		done.Err = err.Error()
-		return done
+		return err
 	}
 	done.Records, done.Bytes = out.Records, out.Bytes
 	done.BucketBytes = bucketVolumes(out.Buckets)
-	return done
+	return nil
 }
 
-// runStep executes one superstep of an iterative job: gather the
-// previous generation's shuffle (zero-copy for self-owned partitions,
-// network for the rest — under the stable partitioner and locality
-// placement nearly everything is self-owned), apply Job.Step, and
-// write the next generation into the local store.
-func (e *Executor) runStep(t *RunTask) *TaskDone {
-	done := &TaskDone{MissMapPart: -1, UnreachableExec: -1}
-	job, err := LookupJob(t.Spec.Job)
+// runReduce gathers the task's partition of the last generation and
+// merges it into the encoded result.
+func (e *Executor) runReduce(t *RunTask, job Job, done *TaskDone) error {
+	chunks, err := e.gather(t, done)
 	if err != nil {
-		done.Err = err.Error()
-		return done
+		return err
 	}
-	if job.Step == nil {
-		done.Err = fmt.Sprintf("dist: job %q has no step function", t.Spec.Job)
-		return done
-	}
-	fetchStart := time.Now()
-	chunks, err := e.gather(t.GatherShuffle, t.Locations, t.Part, done)
-	done.FetchSeconds = time.Since(fetchStart).Seconds()
-	if err != nil {
-		var miss *engine.MapOutputMissingError
-		if errors.As(err, &miss) {
-			done.Miss, done.MissShuffle, done.MissMapPart = true, miss.Shuffle, miss.MapPart
-		}
-		done.Err = err.Error()
-		return done
-	}
-	out, err := job.Step(t.Spec, t.Step, t.Part, chunks)
-	if err != nil {
-		done.Err = err.Error()
-		return done
-	}
-	if err := e.store.RegisterWithID(t.Shuffle, t.Spec.ReduceParts, t.Spec.ReduceParts); err != nil {
-		done.Err = err.Error()
-		return done
-	}
-	if err := e.store.PutChunksFrom(t.Shuffle, t.Part, e.cfg.ID, out.Buckets); err != nil {
-		done.Err = err.Error()
-		return done
-	}
-	done.Records, done.Bytes = out.Records, out.Bytes
-	done.BucketBytes = bucketVolumes(out.Buckets)
-	return done
+	done.Result, err = job.Reduce(t.Spec, t.Part, chunks)
+	return err
 }
 
-func (e *Executor) runReduce(t *RunTask) *TaskDone {
-	done := &TaskDone{MissMapPart: -1, UnreachableExec: -1}
-	job, err := LookupJob(t.Spec.Job)
-	if err != nil {
-		done.Err = err.Error()
-		return done
+// gather fetches the task's partition of t.GatherShuffle from the
+// owners in t.Locations, timing the fetch into done and classifying a
+// missing map output so the driver engages lineage recovery.
+func (e *Executor) gather(t *RunTask, done *TaskDone) ([]any, error) {
+	start := time.Now()
+	chunks, err := e.fetch(t.GatherShuffle, t.Locations, t.Part, done)
+	done.FetchSeconds = time.Since(start).Seconds()
+	var miss *engine.MapOutputMissingError
+	if errors.As(err, &miss) {
+		done.Miss, done.MissShuffle, done.MissMapPart = true, miss.Shuffle, miss.MapPart
 	}
-	fetchStart := time.Now()
-	chunks, err := e.gather(t.Shuffle, t.Locations, t.Part, done)
-	done.FetchSeconds = time.Since(fetchStart).Seconds()
-	if err != nil {
-		var miss *engine.MapOutputMissingError
-		if errors.As(err, &miss) {
-			done.Miss, done.MissShuffle, done.MissMapPart = true, miss.Shuffle, miss.MapPart
-		}
-		done.Err = err.Error()
-		return done
-	}
-	result, err := job.Reduce(t.Spec, t.Part, chunks)
-	if err != nil {
-		done.Err = err.Error()
-		return done
-	}
-	done.Result = result
-	return done
+	return chunks, err
 }
 
-// gather pulls every map partition's chunk of reduce partition part
+// fetch pulls every map partition's chunk of reduce partition part
 // from the given shuffle: the executor's own partitions come zero-copy
 // from the local store; each remote peer is asked once for all of its
 // partitions in one batched request, under the engine's bounded
 // retry/backoff. locations must cover map partitions 0..len-1. A peer
 // unreachable after retries is reported via done.UnreachableExec so
 // the driver can treat the fetch failure as executor loss.
-func (e *Executor) gather(shuffle int, locations []Loc, part int, done *TaskDone) ([]any, error) {
+func (e *Executor) fetch(shuffle int, locations []Loc, part int, done *TaskDone) ([]any, error) {
 	chunks := make([]any, len(locations))
 	byOwner := make(map[int][]Loc)
 	for _, loc := range locations {

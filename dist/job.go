@@ -26,8 +26,8 @@ type JobSpec struct {
 	// Path is wordcount's input file (shared filesystem — the cluster
 	// is N local processes).
 	Path string
-	// Steps is the superstep count of an iterative job (pagerank); jobs
-	// without a Step function ignore it.
+	// Steps is the superstep count of an iterative job (pagerank); it
+	// resolves to 0 for jobs without a Step function.
 	Steps int
 }
 
@@ -39,22 +39,24 @@ type MapOutput struct {
 	Bytes   int64
 }
 
-// Job is a named two-stage computation. Map produces one map
-// partition's shuffle buckets; Reduce merges one reduce partition's
-// fetched chunks into an encoded output; Merge combines the encoded
-// reduce outputs into the job's final result bytes (driver side). All
-// three must be deterministic: the chaos harness asserts byte-identical
-// results across fault-free and recovered runs.
+// Job is a named computation run as a chain of generations, one
+// shuffle each. Map produces one map partition's buckets of generation
+// 0; Step, for an iterative job, turns one partition of generation g-1
+// into its buckets of generation g; Reduce merges one reduce
+// partition's chunks of the last generation into an encoded output;
+// Merge combines the encoded reduce outputs into the job's final result
+// bytes (driver side). All must be deterministic: the chaos harness
+// asserts byte-identical results across fault-free and recovered runs.
 type Job struct {
 	Name   string
 	Map    func(spec JobSpec, part int) (MapOutput, error)
 	Reduce func(spec JobSpec, part int, chunks []any) ([]byte, error)
 	Merge  func(spec JobSpec, parts [][]byte) ([]byte, error)
-	// Step, when set, makes the job iterative: with spec.Steps > 0 the
-	// driver runs Map once (generation 0), then Steps superstep stages
-	// — each gathers the previous generation's shuffle and writes the
-	// next — and finally Reduce over the last generation. Step must be
-	// as deterministic as the other three.
+	// Step, when set, makes the job iterative: the driver runs Map once
+	// (generation 0), then spec.Steps superstep stages — each gathers
+	// the previous generation's shuffle and writes the next — and
+	// finally Reduce over the last generation. Without Step, Steps is 0
+	// and Reduce gathers Map's output directly.
 	Step func(spec JobSpec, step, part int, chunks []any) (MapOutput, error)
 }
 
@@ -273,8 +275,15 @@ func init() {
 }
 
 // withDefaults resolves a spec's open parameters against the cluster
-// size and validates it.
-func (s JobSpec) withDefaults(executors int) (JobSpec, error) {
+// size, validates it, and looks up its job.
+func (s JobSpec) withDefaults(executors int) (JobSpec, Job, error) {
+	job, err := LookupJob(s.Job)
+	if err != nil {
+		return s, job, err
+	}
+	if job.Step == nil || s.Steps < 0 {
+		s.Steps = 0
+	}
 	if s.MapParts <= 0 {
 		s.MapParts = 2 * executors
 	}
@@ -291,7 +300,7 @@ func (s JobSpec) withDefaults(executors int) (JobSpec, error) {
 		}
 	case "wordcount":
 		if s.Path == "" {
-			return s, fmt.Errorf("dist: wordcount needs a Path")
+			return s, job, fmt.Errorf("dist: wordcount needs a Path")
 		}
 	case "pagerank":
 		// Square geometry: map partition p seeds exactly reduce bucket
@@ -310,8 +319,5 @@ func (s JobSpec) withDefaults(executors int) (JobSpec, error) {
 			s.Records += int64(s.ReduceParts) - rem
 		}
 	}
-	if _, err := LookupJob(s.Job); err != nil {
-		return s, err
-	}
-	return s, nil
+	return s, job, nil
 }

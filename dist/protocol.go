@@ -11,13 +11,17 @@
 // task bodies proxy over the control connection — so executor loss
 // flows through the engine's sticky dead set and InvalidateOwner
 // provenance exactly as in the local runtime, and lineage recovery
-// re-executes only the invalidated map partitions.
+// re-executes only the invalidated partitions of the job's generation
+// chain.
 //
 // Transport is a hand-rolled length-prefixed framed codec carrying gob
 // payloads (frame.go); liveness is registration plus periodic
 // heartbeats with a timeout-driven monitor (liveness.go); jobs are
-// named two-stage map/reduce computations both binaries compile in
-// (job.go), since closures cannot cross a process boundary.
+// named computations both binaries compile in (job.go), since closures
+// cannot cross a process boundary. The driver runs every job through
+// one generation loop (driver.go): a map stage, zero or more superstep
+// stages, and a final reduce, each stage gathering the previous one's
+// shuffle.
 package dist
 
 import (
@@ -63,12 +67,13 @@ type Loc struct {
 	Addr    string
 }
 
-// RunTask dispatches one task attempt to an executor. Kind is "map",
-// "reduce", or "step"; Locations is set for reduce and step tasks and
-// lists every gathered map partition's owner as of dispatch time. Step
-// tasks additionally carry the superstep index and the shuffle they
-// gather from (GatherShuffle, the previous generation), while Shuffle
-// names the one they write into.
+// RunTask dispatches one task attempt to an executor. A KindMap task
+// writes generation Step of the job's chain into Shuffle: Step 0 runs
+// Job.Map, Step g ≥ 1 runs Job.Step over its partition of
+// GatherShuffle (generation g-1). A KindReduce task runs Job.Reduce
+// over its partition of GatherShuffle (the last generation). Locations
+// is set for every task that gathers and lists each gathered map
+// partition's owner as of dispatch time.
 type RunTask struct {
 	Seq           uint64
 	Kind          string
@@ -85,10 +90,6 @@ type RunTask struct {
 const (
 	KindMap    = "map"
 	KindReduce = "reduce"
-	// KindStep is one superstep task of an iterative job: gather the
-	// previous generation's shuffle, apply Job.Step, write the next
-	// generation.
-	KindStep = "step"
 )
 
 // TaskDone reports one task attempt's outcome back to the driver.
@@ -96,8 +97,8 @@ type TaskDone struct {
 	Seq uint64
 	// Err is the attempt's failure, "" on success.
 	Err string
-	// Miss is set when the failure was missing map output: the reduce
-	// task's fetch found an invalidated partition. The driver surfaces
+	// Miss is set when the failure was missing map output: the task's
+	// gather found an invalidated partition. The driver surfaces
 	// it as an engine.MapOutputMissingError so lineage recovery engages.
 	Miss        bool
 	MissShuffle int
@@ -113,12 +114,12 @@ type TaskDone struct {
 	// the driver records against its placeholder ownership row so
 	// locality scoring can rank owners without holding the data.
 	BucketBytes []int64
-	// Local*/Remote* split a reduce task's fetched volume by path: local
+	// Local*/Remote* split a gathering task's fetched volume by path: local
 	// chunks came zero-copy from the executor's own store, remote ones
 	// over the network shuffle service.
 	LocalRecords, LocalBytes   int64
 	RemoteRecords, RemoteBytes int64
-	// FetchSeconds is the reduce task's total fetch wall time.
+	// FetchSeconds is the gathering task's total fetch wall time.
 	FetchSeconds float64
 	// Result is a reduce task's encoded output partition.
 	Result []byte
@@ -184,7 +185,7 @@ func init() {
 	// Control and data messages travel as a gob interface value inside
 	// wireMsg; every concrete type must be registered, including the
 	// chunk element types the built-in jobs shuffle and the primitive
-	// types record-boxed compat chunks may carry.
+	// types a []any chunk may carry.
 	gob.Register(&Hello{})
 	gob.Register(&HelloAck{})
 	gob.Register(&Heartbeat{})

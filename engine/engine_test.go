@@ -114,13 +114,28 @@ func TestStageFailsAfterMaxAttempts(t *testing.T) {
 	}
 }
 
+// TestOtherTasksDrainAfterFailure: a task exhausting its retry budget
+// fails the stage, but attempts already in flight still run to
+// completion. Every slot-holding good task waits until the bad task's
+// last attempt has failed, so the drain is what the assertion sees; the
+// cluster has a slot for every task plus the bad task's retries, so
+// none of them depends on dispatch timing.
 func TestOtherTasksDrainAfterFailure(t *testing.T) {
-	rt, _ := New(testCfg())
+	cfg := testCfg()
+	cfg.CoresPerExecutor = 3
+	rt, _ := New(cfg)
 	var good int64
+	lastFailure := make(chan struct{})
 	tasks := make([]TaskSpec, 10)
-	tasks[0] = TaskSpec{Run: func(tc *TaskContext) error { return errors.New("bad") }}
+	tasks[0] = TaskSpec{Run: func(tc *TaskContext) error {
+		if tc.Attempt == cfg.MaxTaskFailures-1 {
+			close(lastFailure)
+		}
+		return errors.New("bad")
+	}}
 	for i := 1; i < 10; i++ {
 		tasks[i] = TaskSpec{Run: func(tc *TaskContext) error {
+			<-lastFailure
 			atomic.AddInt64(&good, 1)
 			return nil
 		}}
@@ -218,43 +233,43 @@ func TestMetricsAccumulate(t *testing.T) {
 func TestShuffleStoreRoundTrip(t *testing.T) {
 	s := NewShuffleStore()
 	id := s.Register(2, 3)
-	if err := s.Put(id, 0, [][]any{{1}, {2}, {3}}); err != nil {
+	if err := s.PutChunksFrom(id, 0, -1, []any{[]int{1}, []int{2}, []int{3}}); err != nil {
 		t.Fatal(err)
 	}
 	if s.Complete(id) {
 		t.Fatal("incomplete shuffle reported complete")
 	}
-	if err := s.Put(id, 1, [][]any{{4}, nil, {5, 6}}); err != nil {
+	if err := s.PutChunksFrom(id, 1, -1, []any{[]int{4}, nil, []int{5, 6}}); err != nil {
 		t.Fatal(err)
 	}
 	if !s.Complete(id) {
 		t.Fatal("complete shuffle reported incomplete")
 	}
-	chunks, err := s.Fetch(id, 2)
+	chunks, err := s.FetchChunks(id, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(chunks) != 2 || chunks[0][0] != 3 || chunks[1][1] != 6 {
-		t.Fatalf("Fetch = %v", chunks)
+	if len(chunks) != 2 || chunks[0].([]int)[0] != 3 || chunks[1].([]int)[1] != 6 {
+		t.Fatalf("FetchChunks = %v", chunks)
 	}
 }
 
 func TestShuffleStoreErrors(t *testing.T) {
 	s := NewShuffleStore()
 	id := s.Register(1, 1)
-	if err := s.Put(99, 0, [][]any{{}}); err == nil {
+	if err := s.PutChunksFrom(99, 0, -1, []any{nil}); err == nil {
 		t.Fatal("unknown shuffle accepted")
 	}
-	if err := s.Put(id, 5, [][]any{{}}); err == nil {
+	if err := s.PutChunksFrom(id, 5, -1, []any{nil}); err == nil {
 		t.Fatal("out-of-range map partition accepted")
 	}
-	if err := s.Put(id, 0, [][]any{{}, {}}); err == nil {
+	if err := s.PutChunksFrom(id, 0, -1, []any{nil, nil}); err == nil {
 		t.Fatal("wrong bucket count accepted")
 	}
-	if _, err := s.Fetch(id, 0); err == nil {
+	if _, err := s.FetchChunks(id, 0); err == nil {
 		t.Fatal("fetch of unmaterialized shuffle succeeded")
 	}
-	if _, err := s.Fetch(99, 0); err == nil {
+	if _, err := s.FetchChunks(99, 0); err == nil {
 		t.Fatal("fetch of unknown shuffle succeeded")
 	}
 }

@@ -8,12 +8,12 @@ import (
 
 // RetryFetch runs fetch with bounded retry and doubling backoff — the
 // shuffle-fetch retry discipline shared by the local runtime
-// (FetchShuffle/FetchShuffleChunks) and the distributed executor's
-// network fetches. A *MapOutputMissingError returns immediately: missing
-// map output is not transient, lineage must repair it. Any other error
-// is treated as transient; onRetry (may be nil) observes each retry
-// before its backoff sleep. After attempts failures the last error is
-// returned unwrapped so callers can add their own context.
+// (FetchShuffleChunks) and the distributed executor's network fetches.
+// A *MapOutputMissingError returns immediately: missing map output is
+// not transient, lineage must repair it. Any other error is treated as
+// transient; onRetry (may be nil) observes each retry before its backoff
+// sleep. After attempts failures the last error is returned unwrapped
+// so callers can add their own context.
 func RetryFetch(attempts int, backoff time.Duration, onRetry func(attempt int, backoff time.Duration, last error), fetch func() error) error {
 	if attempts < 1 {
 		attempts = 1

@@ -300,42 +300,18 @@ func (rt *Runtime) fetchRetrying(tc *TaskContext, shuffleID, reducePart int, fet
 		shuffleID, reducePart, rt.cfg.MaxFetchRetries, err)
 }
 
-// FetchShuffle fetches one reduce partition in the record-boxed [][]any
-// compatibility form, with bounded retry-and-backoff against transient
-// fetch faults. Missing map output (executor loss or stage-ordering
-// bugs) is returned immediately as a MapOutputMissingError — that is
-// not transient; the caller must re-execute the missing partitions
-// through lineage. Task bodies should use this (or FetchShuffleChunks)
-// instead of Shuffle().Fetch.
-func (rt *Runtime) FetchShuffle(tc *TaskContext, shuffleID, reducePart int) ([][]any, error) {
-	start := time.Now()
-	var out [][]any
-	err := rt.fetchRetrying(tc, shuffleID, reducePart, func() error {
-		var ferr error
-		out, ferr = rt.shuffle.Fetch(shuffleID, reducePart)
-		return ferr
-	})
-	if err != nil {
-		return nil, err
-	}
-	if rt.listeners.active() {
-		var records, bytes int64
-		for _, b := range out {
-			r, by := chunkVolume(b)
-			records, bytes = records+r, bytes+by
-		}
-		rt.notifyFetch(tc, shuffleID, reducePart, start, records, bytes)
-	}
-	return out, nil
-}
-
 // FetchShuffleChunks fetches one reduce partition as stored chunks (one
-// boxed typed slice per map partition, nil where empty) with the same
-// retry and missing-output semantics as FetchShuffle. This is the hot
-// path the rdd reduce side uses — and the co-located zero-copy path:
-// the stored typed slices are handed back directly, no gob box, no
-// copy, under the chunk immutability contract (a chunk sunk into the
-// store is never mutated, so aliasing it out is safe).
+// boxed typed slice per map partition, nil where empty), with bounded
+// retry-and-backoff against transient fetch faults. Missing map output
+// (executor loss or stage-ordering bugs) is returned immediately as a
+// MapOutputMissingError — that is not transient; the caller must
+// re-execute the missing partitions through lineage. Task bodies should
+// use this instead of Shuffle().FetchChunks.
+//
+// This is the hot path the rdd reduce side uses — and the co-located
+// zero-copy path: the stored typed slices are handed back directly, no
+// gob box, no copy, under the chunk immutability contract (a chunk sunk
+// into the store is never mutated, so aliasing it out is safe).
 //
 // When listeners are subscribed, the fetched volume is split by
 // ownership: chunks whose producing executor is the fetching task's
@@ -389,31 +365,14 @@ func (rt *Runtime) FetchShuffleChunks(tc *TaskContext, shuffleID, reducePart int
 }
 
 // EmitFetch publishes an externally-observed shuffle fetch to the
-// runtime's listeners. The local runtime's own fetch paths report
-// through FetchShuffle/FetchShuffleChunks; this hook exists for the
+// runtime's listeners. The local runtime's own fetch path reports
+// through FetchShuffleChunks; this hook exists for the
 // distributed driver, whose reduce-side fetches happen on remote
 // executor processes and are reported back over the control channel.
 func (rt *Runtime) EmitFetch(e FetchEvent) {
 	if rt.listeners.active() {
 		rt.listeners.fetch(e)
 	}
-}
-
-// notifyFetch fans one completed shuffle fetch out to the listeners.
-// Volume is only tallied when a listener is subscribed, so untraced runs
-// pay nothing on the fetch path.
-func (rt *Runtime) notifyFetch(tc *TaskContext, shuffleID, reducePart int, start time.Time, records, bytes int64) {
-	rt.listeners.fetch(FetchEvent{
-		Shuffle:    shuffleID,
-		ReducePart: reducePart,
-		TaskID:     tc.TaskID,
-		Attempt:    tc.Attempt,
-		Executor:   tc.Executor,
-		Start:      start,
-		Duration:   time.Since(start).Seconds(),
-		Records:    records,
-		Bytes:      float64(bytes),
-	})
 }
 
 // ---- persistent executor workers ----
@@ -560,6 +519,12 @@ type stageState struct {
 	finished      bool
 	start         time.Time
 
+	// crashChecks counts completions whose count-triggered crashes are
+	// still being applied; the stage stays open until they land, so a
+	// crash its own tasks triggered is never half-applied when
+	// RunStage returns.
+	crashChecks int
+
 	// speculation state
 	done       []bool
 	running    map[int]time.Time // task -> earliest live launch
@@ -657,7 +622,7 @@ func (rt *Runtime) RunStage(name string, tasks []TaskSpec) error {
 		st.failed = ErrAllExecutorsLost
 	}
 	st.dispatchLocked()
-	for st.remaining > 0 && (st.failed == nil || st.inFlight > 0) {
+	for st.crashChecks > 0 || (st.remaining > 0 && (st.failed == nil || st.inFlight > 0)) {
 		st.cond.Wait()
 		if st.remaining > 0 && st.failed == nil {
 			st.dispatchLocked()
@@ -860,7 +825,7 @@ func (st *stageState) dispatchLocked() {
 // in-flight attempts fully drained. Routine completions skip the wakeup
 // (the completing worker has already re-dispatched inline).
 func (st *stageState) wakeDriverLocked() {
-	if st.remaining == 0 || (st.failed != nil && st.inFlight == 0) {
+	if st.crashChecks == 0 && (st.remaining == 0 || (st.failed != nil && st.inFlight == 0)) {
 		st.cond.Broadcast()
 	}
 }
@@ -1100,15 +1065,23 @@ func (st *stageState) runTask(d sched.Decision, exec int, scratch *TaskContext) 
 	if st.failed == nil {
 		st.dispatchLocked()
 	}
+	crashCheck := inj != nil && success
+	if crashCheck {
+		st.crashChecks++
+	}
 	st.wakeDriverLocked()
 	st.mu.Unlock()
 
 	// Count-based crash triggers fire on successful completions, after
 	// the stage lock is released (FailExecutor re-enters stage state).
-	if inj != nil && success {
+	if crashCheck {
 		for _, e := range inj.TaskCompleted(rt.elapsed()) {
 			rt.FailExecutor(e)
 		}
+		st.mu.Lock()
+		st.crashChecks--
+		st.wakeDriverLocked()
+		st.mu.Unlock()
 	}
 }
 

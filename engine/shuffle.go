@@ -19,9 +19,7 @@ import (
 // typed slice (e.g. []Pair[K,V]) boxed in a single interface value. Map
 // tasks publish one chunk per reduce partition with PutChunksFrom, and
 // FetchChunks hands the stored chunks back without flattening or
-// copying — the rdd layer restores their static types. The older
-// record-boxed [][]any API (Put/PutFrom/Fetch) remains as a thin
-// compatibility wrapper: a []any bucket is itself a valid chunk.
+// copying — the rdd layer restores their static types.
 //
 // Locking is sharded: the store-level RWMutex only guards the shuffle
 // registry and the lost-executor set (Register/Drop/InvalidateOwner
@@ -30,7 +28,8 @@ import (
 // shuffles, and reduce fetches against an already-written shuffle, do
 // not serialize on one global lock.
 //
-// For fault recovery the store tracks provenance: PutFrom records which
+// For fault recovery the store tracks provenance: PutChunksFrom (and
+// PutChunkMetaFrom, for rows whose data lives elsewhere) records which
 // executor produced each map partition, InvalidateOwner drops every
 // partition a lost executor produced (and bans late writes from its
 // zombie attempts), and MissingParts lists what lineage re-execution
@@ -117,8 +116,8 @@ type Volume struct {
 }
 
 // chunkVolume measures one stored chunk: its record count and
-// approximate bytes (element size times length; record-boxed []any
-// chunks count one interface header per record).
+// approximate bytes (element size times length; []any chunks count one
+// interface header per record).
 func chunkVolume(ch any) (records, bytes int64) {
 	switch c := ch.(type) {
 	case nil:
@@ -410,25 +409,6 @@ func (s *ShuffleStore) TotalVolume() Volume {
 	return Volume{Records: s.totalRecords.Load(), Bytes: s.totalBytes.Load()}
 }
 
-// Put stores a map partition's output buckets with no provenance (the
-// partition survives executor failures). Record-boxed compatibility
-// form of PutChunksFrom.
-func (s *ShuffleStore) Put(shuffleID, mapPart int, buckets [][]any) error {
-	return s.PutFrom(shuffleID, mapPart, -1, buckets)
-}
-
-// PutFrom stores a map partition's record-boxed output buckets produced
-// by owner. Each []any bucket is stored as one chunk.
-func (s *ShuffleStore) PutFrom(shuffleID, mapPart, owner int, buckets [][]any) error {
-	chunks := make([]any, len(buckets))
-	for i, b := range buckets {
-		if len(b) > 0 {
-			chunks[i] = b
-		}
-	}
-	return s.PutChunksFrom(shuffleID, mapPart, owner, chunks)
-}
-
 // PutChunkMetaFrom records ownership of a map partition without
 // holding its data: the placeholder row the distributed driver writes
 // when the chunks stay in the producing executor's local store.
@@ -640,38 +620,6 @@ func (s *ShuffleStore) Owners(shuffleID int) []int {
 		} else {
 			out[m] = -1
 		}
-	}
-	return out
-}
-
-// Fetch returns all map-side buckets for one reduce partition in the
-// record-boxed [][]any compatibility form. Chunks written through the
-// typed path are flattened (reflectively) into boxed records; chunks
-// written through Put/PutFrom are returned as stored.
-func (s *ShuffleStore) Fetch(shuffleID, reducePart int) ([][]any, error) {
-	chunks, err := s.FetchChunks(shuffleID, reducePart)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]any, len(chunks))
-	for m, ch := range chunks {
-		out[m] = boxChunk(ch)
-	}
-	return out, nil
-}
-
-// boxChunk converts one stored chunk to boxed records.
-func boxChunk(ch any) []any {
-	switch c := ch.(type) {
-	case nil:
-		return nil
-	case []any:
-		return c
-	}
-	v := reflect.ValueOf(ch)
-	out := make([]any, v.Len())
-	for i := range out {
-		out[i] = v.Index(i).Interface()
 	}
 	return out
 }

@@ -31,16 +31,16 @@ func TestShuffleStoreConcurrentPutFetch(t *testing.T) {
 	}
 	// Pre-write every partition once so readers always see a complete
 	// shuffle; writers then keep overwriting (task retries).
-	mkBuckets := func(m int) [][]any {
-		b := make([][]any, reduceParts)
+	mkBuckets := func(m int) []any {
+		b := make([]any, reduceParts)
 		for r := range b {
-			b[r] = []any{fmt.Sprintf("m%d-r%d", m, r)}
+			b[r] = []string{fmt.Sprintf("m%d-r%d", m, r)}
 		}
 		return b
 	}
 	for _, id := range ids {
 		for m := 0; m < mapParts; m++ {
-			if err := s.Put(id, m, mkBuckets(m)); err != nil {
+			if err := s.PutChunksFrom(id, m, -1, mkBuckets(m)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -56,7 +56,7 @@ func TestShuffleStoreConcurrentPutFetch(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				id := ids[(w+i)%shuffles]
 				m := (w * 7) % mapParts
-				if err := s.Put(id, (m+i)%mapParts, mkBuckets((m+i)%mapParts)); err != nil {
+				if err := s.PutChunksFrom(id, (m+i)%mapParts, -1, mkBuckets((m+i)%mapParts)); err != nil {
 					errc <- err
 					return
 				}
@@ -70,7 +70,7 @@ func TestShuffleStoreConcurrentPutFetch(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				id := ids[(r+i)%shuffles]
-				out, err := s.Fetch(id, (r+i)%reduceParts)
+				out, err := s.FetchChunks(id, (r+i)%reduceParts)
 				if err != nil {
 					errc <- err
 					return
@@ -87,13 +87,13 @@ func TestShuffleStoreConcurrentPutFetch(t *testing.T) {
 			}
 		}()
 	}
-	// Registry churn alongside the Put/Fetch load.
+	// Registry churn alongside the put/fetch load.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
 			id := s.Register(2, 2)
-			_ = s.Put(id, 0, make([][]any, 2))
+			_ = s.PutChunksFrom(id, 0, -1, make([]any, 2))
 			s.Drop(id)
 		}
 	}()
@@ -122,15 +122,15 @@ func TestShuffleStoreConcurrentInvalidation(t *testing.T) {
 		rounds      = 60
 	)
 	id := s.Register(mapParts, reduceParts)
-	mkBuckets := func(m int) [][]any {
-		b := make([][]any, reduceParts)
+	mkBuckets := func(m int) []any {
+		b := make([]any, reduceParts)
 		for r := range b {
-			b[r] = []any{m * r}
+			b[r] = []int{m * r}
 		}
 		return b
 	}
 	for m := 0; m < mapParts; m++ {
-		if err := s.PutFrom(id, m, m%owners, mkBuckets(m)); err != nil {
+		if err := s.PutChunksFrom(id, m, m%owners, mkBuckets(m)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -145,7 +145,7 @@ func TestShuffleStoreConcurrentInvalidation(t *testing.T) {
 			defer wg.Done()
 			s.InvalidateOwner(o)
 			// A zombie write from the dead owner must be rejected.
-			if err := s.PutFrom(id, o, o, mkBuckets(o)); err == nil {
+			if err := s.PutChunksFrom(id, o, o, mkBuckets(o)); err == nil {
 				errc <- fmt.Errorf("owner %d wrote after invalidation", o)
 			}
 		}()
@@ -157,7 +157,7 @@ func TestShuffleStoreConcurrentInvalidation(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				_, err := s.Fetch(id, (r+i)%reduceParts)
+				_, err := s.FetchChunks(id, (r+i)%reduceParts)
 				if err != nil {
 					var miss *MapOutputMissingError
 					if !errors.As(err, &miss) {
@@ -178,7 +178,7 @@ func TestShuffleStoreConcurrentInvalidation(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				for _, m := range s.MissingParts(id) {
-					if err := s.PutFrom(id, m, owners+w, mkBuckets(m)); err != nil {
+					if err := s.PutChunksFrom(id, m, owners+w, mkBuckets(m)); err != nil {
 						errc <- fmt.Errorf("recovery put: %v", err)
 						return
 					}
@@ -194,7 +194,7 @@ func TestShuffleStoreConcurrentInvalidation(t *testing.T) {
 
 	// Quiesced: one final recovery pass restores completeness.
 	for _, m := range s.MissingParts(id) {
-		if err := s.PutFrom(id, m, owners, mkBuckets(m)); err != nil {
+		if err := s.PutChunksFrom(id, m, owners, mkBuckets(m)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -202,7 +202,7 @@ func TestShuffleStoreConcurrentInvalidation(t *testing.T) {
 		t.Fatalf("shuffle incomplete after recovery; missing %v", s.MissingParts(id))
 	}
 	for r := 0; r < reduceParts; r++ {
-		if _, err := s.Fetch(id, r); err != nil {
+		if _, err := s.FetchChunks(id, r); err != nil {
 			t.Fatalf("fetch after recovery: %v", err)
 		}
 	}

@@ -397,7 +397,7 @@ func (e *Engine) runShufflePhase(spec JobSpec, pol Policies, files []*lustre.Fil
 				}
 			}
 			// Transient fetch loss: bounded retry with doubling backoff,
-			// mirroring the real runtime's FetchShuffle.
+			// mirroring the real runtime's FetchShuffleChunks.
 			attempt := 0
 			var try func()
 			try = func() {

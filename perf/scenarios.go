@@ -75,7 +75,7 @@ func init() {
 	})
 	mustRegister(Scenario{
 		Name: "engine/shufflestore-contention",
-		Desc: "concurrent Put/Fetch against the sharded ShuffleStore from many goroutines",
+		Desc: "concurrent typed-chunk PutChunksFrom/FetchChunks against the sharded ShuffleStore from many goroutines",
 		Run:  runShuffleStoreContention,
 	})
 	mustRegister(Scenario{
@@ -327,15 +327,15 @@ func runShuffleStoreContention(sc Scale) (Extras, error) {
 			go func(w int) {
 				defer wg.Done()
 				for _, id := range ids {
-					buckets := make([][]any, reduceParts)
+					buckets := make([]any, reduceParts)
 					for r := range buckets {
-						vals := make([]any, valsPerBucket)
+						vals := make([]int, valsPerBucket)
 						for v := range vals {
 							vals[v] = w*1000 + v
 						}
 						buckets[r] = vals
 					}
-					if err := store.PutFrom(id, w, w, buckets); err != nil {
+					if err := store.PutChunksFrom(id, w, w, buckets); err != nil {
 						panic(err)
 					}
 				}
@@ -349,14 +349,14 @@ func runShuffleStoreContention(sc Scale) (Extras, error) {
 				defer wg.Done()
 				id := ids[w%shuffles]
 				for r := 0; r < reduceParts; r++ {
-					vals, err := store.Fetch(id, r)
+					chunks, err := store.FetchChunks(id, r)
 					if err != nil {
 						errs <- err
 						return
 					}
 					got := 0
-					for _, part := range vals {
-						got += len(part)
+					for _, ch := range chunks {
+						got += len(ch.([]int))
 					}
 					if got != writers*valsPerBucket {
 						errs <- fmt.Errorf("fetch got %d values, want %d", got, writers*valsPerBucket)
