@@ -234,7 +234,7 @@ func (d *Driver) acceptControl() {
 }
 
 func (d *Driver) handleControl(conn net.Conn) {
-	c := NewCodec(conn, 0)
+	c := NewCodec(conn)
 	m, err := c.Recv()
 	if err != nil {
 		c.Close()
@@ -696,7 +696,7 @@ func (d *Driver) acceptClients() {
 }
 
 func (d *Driver) handleClient(conn net.Conn) {
-	c := NewCodec(conn, 0)
+	c := NewCodec(conn)
 	defer c.Close()
 	for {
 		m, err := c.Recv()
@@ -731,7 +731,7 @@ func Submit(addr string, spec JobSpec) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dist: dial driver %s: %w", addr, err)
 	}
-	c := NewCodec(conn, 0)
+	c := NewCodec(conn)
 	defer c.Close()
 	if err := c.Send(&SubmitJob{Spec: spec}); err != nil {
 		return nil, err
@@ -757,7 +757,7 @@ func ShutdownCluster(addr string) error {
 	if err != nil {
 		return fmt.Errorf("dist: dial driver %s: %w", addr, err)
 	}
-	c := NewCodec(conn, 0)
+	c := NewCodec(conn)
 	defer c.Close()
 	if err := c.Send(&ShutdownReq{}); err != nil {
 		return err

@@ -137,7 +137,7 @@ func (e *Executor) Run() error {
 	if err != nil {
 		return fmt.Errorf("dist: executor %d dial driver %s: %w", e.cfg.ID, e.cfg.DriverAddr, err)
 	}
-	e.codec = NewCodec(conn, 0)
+	e.codec = NewCodec(conn)
 	defer e.codec.Close()
 	e.start = time.Now()
 

@@ -1,13 +1,13 @@
 package dist
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"hash/fnv"
 	"os"
 	"sort"
 	"strings"
+
+	"hpcmr/internal/codec"
 )
 
 // JobSpec names a registered job and its parameters. Closures cannot
@@ -85,18 +85,12 @@ func LookupJob(name string) (Job, error) {
 
 // gobEncode serializes v deterministically (gob field order is fixed by
 // the struct definition).
-func gobEncode(v any) ([]byte, error) {
-	var b bytes.Buffer
-	if err := gob.NewEncoder(&b).Encode(v); err != nil {
-		return nil, err
-	}
-	return b.Bytes(), nil
-}
+func gobEncode(v any) ([]byte, error) { return codec.Marshal(v) }
 
 // DecodeKVs decodes a []KV result produced by the integer-keyed jobs.
 func DecodeKVs(data []byte) ([]KV, error) {
 	var out []KV
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&out); err != nil {
+	if err := codec.Unmarshal(data, &out); err != nil {
 		return nil, fmt.Errorf("dist: decode KV result: %w", err)
 	}
 	return out, nil
@@ -105,7 +99,7 @@ func DecodeKVs(data []byte) ([]KV, error) {
 // DecodeSKVs decodes a []SKV result produced by the string-keyed jobs.
 func DecodeSKVs(data []byte) ([]SKV, error) {
 	var out []SKV
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&out); err != nil {
+	if err := codec.Unmarshal(data, &out); err != nil {
 		return nil, fmt.Errorf("dist: decode SKV result: %w", err)
 	}
 	return out, nil

@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"encoding/gob"
 	"fmt"
 	"math"
 	"sort"
@@ -192,7 +191,6 @@ func pagerankMerge(_ JobSpec, parts [][]byte) ([]byte, error) {
 }
 
 func init() {
-	gob.Register([]PRRec(nil))
 	RegisterJob(Job{
 		Name:   "pagerank",
 		Map:    pagerankMap,

@@ -3,7 +3,7 @@
 // talking over TCP, with a network shuffle service between the
 // executors.
 //
-// The wire unit is the chunk contract of PR-5: map output buckets are
+// The wire unit is the engine's chunk contract: map output buckets are
 // typed slices boxed once, stored in each executor's local
 // engine.ShuffleStore and served to remote reducers by a per-executor
 // shuffle server. The driver schedules stages on its existing
@@ -14,9 +14,10 @@
 // re-executes only the invalidated partitions of the job's generation
 // chain.
 //
-// Transport is a hand-rolled length-prefixed framed codec carrying gob
-// payloads (frame.go); liveness is registration plus periodic
-// heartbeats with a timeout-driven monitor (liveness.go); jobs are
+// Transport is one internal/codec frame per message — length prefix,
+// CRC32, self-contained gob payload — the same frame spill files use;
+// liveness is registration plus periodic heartbeats with a
+// timeout-driven monitor (liveness.go); jobs are
 // named computations both binaries compile in (job.go), since closures
 // cannot cross a process boundary. The driver runs every job through
 // one generation loop (driver.go): a map stage, zero or more superstep
@@ -26,11 +27,10 @@ package dist
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/gob"
-	"fmt"
 	"net"
 	"sync"
+
+	"hpcmr/internal/codec"
 )
 
 // ---- control-plane messages (driver <-> executor, client -> driver) ----
@@ -182,86 +182,51 @@ type SKV struct {
 }
 
 func init() {
-	// Control and data messages travel as a gob interface value inside
+	// Control and data messages travel as an interface value inside
 	// wireMsg; every concrete type must be registered, including the
-	// chunk element types the built-in jobs shuffle and the primitive
-	// types a []any chunk may carry.
-	gob.Register(&Hello{})
-	gob.Register(&HelloAck{})
-	gob.Register(&Heartbeat{})
-	gob.Register(&RunTask{})
-	gob.Register(&TaskDone{})
-	gob.Register(&DropShuffle{})
-	gob.Register(&SubmitJob{})
-	gob.Register(&JobResult{})
-	gob.Register(&ShutdownReq{})
-	gob.Register(&ShutdownAck{})
-	gob.Register(&ShuffleReq{})
-	gob.Register(&ShuffleResp{})
-	gob.Register([]KV(nil))
-	gob.Register([]SKV(nil))
-	gob.Register([]any(nil))
-	gob.Register([]int64(nil))
-	gob.Register([]string(nil))
-	gob.Register(int(0))
-	gob.Register(int64(0))
-	gob.Register(float64(0))
-	gob.Register(string(""))
-	gob.Register(bool(false))
+	// chunk element types the built-in jobs shuffle.
+	if err := codec.Register(&Hello{}, &HelloAck{}, &Heartbeat{}, &RunTask{}, &TaskDone{},
+		&DropShuffle{}, &SubmitJob{}, &JobResult{}, &ShutdownReq{}, &ShutdownAck{},
+		&ShuffleReq{}, &ShuffleResp{}, []KV(nil), []SKV(nil), []PRRec(nil)); err != nil {
+		panic(err)
+	}
 }
 
-// wireMsg wraps every message so gob carries the concrete type.
+// wireMsg wraps every message so the codec carries the concrete type.
 type wireMsg struct {
 	M any
 }
 
-// Codec frames gob-encoded messages over a connection. Each frame is a
-// self-contained gob stream (encoder state is not shared across
-// frames), so a frame can be decoded in isolation and a dropped frame
-// cannot corrupt its successors. Sends are serialized by an internal
-// mutex — heartbeats, task results, and shuffle responses may share one
+// Codec sends and receives messages over a connection, one
+// internal/codec frame (length, CRC32, self-contained gob stream) per
+// message, so a frame decodes in isolation and a dropped frame cannot
+// corrupt its successors. Sends are serialized by an internal mutex —
+// heartbeats, task results, and shuffle responses may share one
 // connection from several goroutines; Recv must be called from a single
 // reader goroutine.
 type Codec struct {
 	conn net.Conn
 	r    *bufio.Reader
-	max  int
-
-	wmu sync.Mutex
-	wb  bytes.Buffer
+	wmu  sync.Mutex
 }
 
-// NewCodec wraps a connection; maxFrame <= 0 uses DefaultMaxFrame.
-func NewCodec(conn net.Conn, maxFrame int) *Codec {
-	if maxFrame <= 0 {
-		maxFrame = DefaultMaxFrame
-	}
-	return &Codec{conn: conn, r: bufio.NewReader(conn), max: maxFrame}
+// NewCodec wraps a connection.
+func NewCodec(conn net.Conn) *Codec {
+	return &Codec{conn: conn, r: bufio.NewReader(conn)}
 }
 
-// Send gob-encodes m into one frame and writes it.
+// Send encodes m into one frame and writes it.
 func (c *Codec) Send(m any) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	c.wb.Reset()
-	if err := gob.NewEncoder(&c.wb).Encode(wireMsg{M: m}); err != nil {
-		return fmt.Errorf("dist: encode %T: %w", m, err)
-	}
-	if c.wb.Len() > c.max {
-		return &ErrFrameTooLarge{Length: c.wb.Len(), Max: c.max}
-	}
-	return WriteFrame(c.conn, c.wb.Bytes())
+	return codec.WriteValue(c.conn, wireMsg{M: m})
 }
 
 // Recv reads and decodes the next frame.
 func (c *Codec) Recv() (any, error) {
-	payload, err := ReadFrame(c.r, c.max)
-	if err != nil {
-		return nil, err
-	}
 	var w wireMsg
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&w); err != nil {
-		return nil, fmt.Errorf("dist: decode frame: %w", err)
+	if err := codec.ReadValue(c.r, &w); err != nil {
+		return nil, err
 	}
 	return w.M, nil
 }

@@ -54,7 +54,7 @@ func (s *ShuffleServer) Close() {
 
 func (s *ShuffleServer) serveConn(conn net.Conn) {
 	defer conn.Close()
-	c := NewCodec(conn, 0)
+	c := NewCodec(conn)
 	for {
 		m, err := c.Recv()
 		if err != nil {
@@ -98,7 +98,7 @@ func FetchPeerChunks(addr string, shuffle, reducePart int, mapParts []int) ([]an
 		return nil, fmt.Errorf("dist: dial shuffle server %s: %w", addr, err)
 	}
 	defer conn.Close()
-	c := NewCodec(conn, 0)
+	c := NewCodec(conn)
 	if err := c.Send(&ShuffleReq{Shuffle: shuffle, ReducePart: reducePart, MapParts: mapParts}); err != nil {
 		return nil, err
 	}

@@ -334,7 +334,7 @@ func (rt *Runtime) FetchShuffleChunks(tc *TaskContext, shuffleID, reducePart int
 		owners := rt.shuffle.Owners(shuffleID)
 		var lr, lb, rr, rb int64
 		for m, ch := range out {
-			r, by := chunkVolume(ch)
+			r, by := ChunkVolume(ch)
 			if m < len(owners) && owners[m] == tc.Executor {
 				lr, lb = lr+r, lb+by
 			} else {

@@ -115,10 +115,12 @@ type Volume struct {
 	Bytes   int64
 }
 
-// chunkVolume measures one stored chunk: its record count and
+// ChunkVolume measures one stored chunk: its record count and
 // approximate bytes (element size times length; []any chunks count one
-// interface header per record).
-func chunkVolume(ch any) (records, bytes int64) {
+// interface header per record). External shuffle paths (the distributed
+// runtime's network fetches) use it to report volume consistently with
+// local fetches.
+func ChunkVolume(ch any) (records, bytes int64) {
 	switch c := ch.(type) {
 	case nil:
 		return 0, 0
@@ -129,14 +131,6 @@ func chunkVolume(ch any) (records, bytes int64) {
 	v := reflect.ValueOf(ch)
 	n := int64(v.Len())
 	return n, n * int64(v.Type().Elem().Size())
-}
-
-// ChunkVolume measures one chunk with the store's own accounting —
-// record count and approximate bytes — so external shuffle paths (the
-// distributed runtime's network fetches) report volume consistently
-// with local fetches.
-func ChunkVolume(ch any) (records, bytes int64) {
-	return chunkVolume(ch)
 }
 
 // LostPart identifies one invalidated map output.
@@ -284,7 +278,7 @@ func (s *ShuffleStore) PutChunksFrom(shuffleID, mapPart, owner int, chunks []any
 	}
 	var records, bytes int64
 	for _, ch := range chunks {
-		r, b := chunkVolume(ch)
+		r, b := ChunkVolume(ch)
 		records, bytes = records+r, bytes+b
 	}
 	d.mu.Lock()
@@ -493,7 +487,7 @@ func (s *ShuffleStore) OwnerReduceBytes(shuffleID, executors int, spillDiscount 
 			continue
 		}
 		for r, ch := range d.chunks[m] {
-			if _, b := chunkVolume(ch); b > 0 {
+			if _, b := ChunkVolume(ch); b > 0 {
 				out[r][o] += float64(b)
 			}
 		}

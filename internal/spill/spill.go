@@ -1,71 +1,43 @@
 // Package spill is the two-level storage layer under the engine's
-// memory budget: a spill-file codec that moves chunk lists between
+// memory budget: a spill-file format that moves chunk lists between
 // memory and a local spill directory (the paper's RAMDisk→SSD step of
 // the storage hierarchy), and an LRU accountant that decides what to
 // move when resident bytes exceed the budget.
 //
-// The file format is modeled on the distributed runtime's framed codec
-// (dist/frame.go): length-prefixed frames with bounded incremental
-// reads, so a corrupt length prefix becomes an error instead of an
-// allocation. Each frame additionally carries a CRC32 of its payload —
-// spill files live on real disks, and a bit-flipped body must surface
-// as an error the engine can repair through lineage, never as silently
-// wrong data.
+// A spill file is a sequence of internal/codec frames: length-prefixed,
+// CRC32-checked and read with bounded incremental allocation, so a
+// corrupt length prefix or a bit-flipped body surfaces as an error the
+// engine repairs through lineage, never as silently wrong data.
 //
 // One spill file holds one Entry: the provenance header (which space,
 // which shuffle/node, which partition, which owner produced it) and one
 // frame per non-empty chunk. Chunks are typed slices boxed in
 // interfaces, exactly as the shuffle store and rdd cache hold them;
-// their concrete types are registered with gob on first encode. A chunk
-// type gob cannot encode (unexported fields, functions) fails the
-// encode cleanly — the accountant then pins the entry resident instead
-// of spilling it.
+// their concrete types are registered with the codec on first encode. A
+// chunk the codec cannot encode (unexported fields, functions, a frame
+// over codec.MaxFrame) fails the encode cleanly — the accountant then
+// pins the entry resident instead of spilling it.
 package spill
 
 import (
-	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
-	"reflect"
-	"sync"
+
+	"hpcmr/internal/codec"
 )
 
-const (
-	// MaxFrame bounds a single frame's payload (64 MiB), the ceiling
-	// that turns a corrupt length prefix into an error instead of an
-	// allocation.
-	MaxFrame = 64 << 20
-	// frameGrowStep caps how much readFrame allocates ahead of the bytes
-	// actually arriving.
-	frameGrowStep = 64 << 10
-	// MaxChunks bounds an entry's bucket count (reduce partitions), so a
-	// corrupt header cannot force a large chunk-slice allocation.
-	MaxChunks = 1 << 14
-)
-
-// ErrFrameTooLarge rejects a frame whose length prefix exceeds MaxFrame.
-type ErrFrameTooLarge struct {
-	Length, Max int
-}
-
-func (e *ErrFrameTooLarge) Error() string {
-	return fmt.Sprintf("spill: frame of %d bytes exceeds limit %d", e.Length, e.Max)
-}
-
-// ErrChecksum reports a frame whose payload does not match its CRC32 —
-// on-disk corruption the engine repairs by recomputing through lineage.
-var ErrChecksum = errors.New("spill: frame checksum mismatch")
+// MaxChunks bounds an entry's bucket count (reduce partitions), so a
+// corrupt header cannot force a large chunk-slice allocation.
+const MaxChunks = 1 << 14
 
 // Entry is one spilled unit: a chunk list with its provenance. For the
 // shuffle store, ID/Part/Owner are the engine shuffle ID, map partition,
 // and producing executor; for the rdd cache, ID is the plan-node ID,
 // Part the partition, and Owner -1.
 type Entry struct {
-	Space string // "shuffle" or "cache"
+	Space string // "shuffle", "cache" or "checkpoint"
 	ID    int
 	Part  int
 	Owner int
@@ -89,102 +61,6 @@ type chunkFrame struct {
 	Chunk any
 }
 
-// writeFrame writes one frame: 4-byte big-endian payload length, 4-byte
-// CRC32 (IEEE) of the payload, then the payload.
-func writeFrame(w io.Writer, payload []byte) error {
-	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if len(payload) == 0 {
-		return nil
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-// readFrame reads one frame written by writeFrame. A length prefix over
-// MaxFrame returns *ErrFrameTooLarge without allocating the body; a
-// truncated prefix or body returns io.ErrUnexpectedEOF (io.EOF when the
-// stream ends cleanly between frames); a payload failing its checksum
-// returns ErrChecksum. The buffer grows incrementally as bytes arrive,
-// so a corrupt prefix claiming a large length against a short stream
-// cannot force a large allocation.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return nil, io.ErrUnexpectedEOF
-		}
-		return nil, err
-	}
-	length := int(binary.BigEndian.Uint32(hdr[:4]))
-	sum := binary.BigEndian.Uint32(hdr[4:])
-	if length > MaxFrame {
-		return nil, &ErrFrameTooLarge{Length: length, Max: MaxFrame}
-	}
-	payload := make([]byte, 0, min(length, frameGrowStep))
-	for len(payload) < length {
-		off := len(payload)
-		n := min(length-off, frameGrowStep)
-		payload = append(payload, make([]byte, n)...)
-		if _, err := io.ReadFull(r, payload[off:]); err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return nil, err
-		}
-	}
-	if crc32.ChecksumIEEE(payload) != sum {
-		return nil, ErrChecksum
-	}
-	return payload, nil
-}
-
-// Chunk types are registered with gob on first encode so interface
-// values round-trip to their exact concrete types. Registration is
-// process-global (gob's registry is), deduplicated here.
-var (
-	regMu      sync.Mutex
-	registered = map[reflect.Type]bool{}
-)
-
-// registerChunk registers a chunk's concrete type (and, for
-// record-boxed []any chunks, each element's type). gob.Register panics
-// on pathological name collisions; that is converted to an error so an
-// unencodable chunk fails its eviction instead of the process.
-func registerChunk(ch any) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("spill: registering chunk type %T: %v", ch, r)
-		}
-	}()
-	if ch == nil {
-		return nil
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	reg := func(v any) {
-		t := reflect.TypeOf(v)
-		if t == nil || registered[t] {
-			return
-		}
-		gob.Register(v)
-		registered[t] = true
-	}
-	reg(ch)
-	if boxed, ok := ch.([]any); ok {
-		for _, v := range boxed {
-			if v != nil {
-				reg(v)
-			}
-		}
-	}
-	return nil
-}
-
 // countingWriter tallies bytes written through it.
 type countingWriter struct {
 	w io.Writer
@@ -197,9 +73,9 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// Encode writes one entry to w and returns the bytes written. Chunk
-// types that gob cannot encode return an error with nothing guaranteed
-// about partial output — callers write to a temporary file and discard
+// Encode writes one entry to w and returns the bytes written. A chunk
+// the codec cannot encode, or whose frame would exceed codec.MaxFrame,
+// returns an error with nothing guaranteed about partial output — callers write to a temporary file and discard
 // it on error.
 func Encode(w io.Writer, e *Entry) (int64, error) {
 	if len(e.Chunks) > MaxChunks {
@@ -212,7 +88,7 @@ func Encode(w io.Writer, e *Entry) (int64, error) {
 			frames++
 		}
 	}
-	if err := encodeFrame(cw, header{
+	if err := codec.WriteValue(cw, header{
 		Space: e.Space, ID: e.ID, Part: e.Part, Owner: e.Owner,
 		NChunks: len(e.Chunks), Frames: frames,
 	}); err != nil {
@@ -222,32 +98,14 @@ func Encode(w io.Writer, e *Entry) (int64, error) {
 		if ch == nil {
 			continue
 		}
-		if err := registerChunk(ch); err != nil {
+		if err := codec.Register(ch); err != nil {
 			return cw.n, err
 		}
-		if err := encodeFrame(cw, chunkFrame{Index: i, Chunk: ch}); err != nil {
+		if err := codec.WriteValue(cw, chunkFrame{Index: i, Chunk: ch}); err != nil {
 			return cw.n, fmt.Errorf("spill: encoding chunk %d (%T): %w", i, ch, err)
 		}
 	}
 	return cw.n, nil
-}
-
-// encodeFrame gob-encodes v into one frame.
-func encodeFrame(w io.Writer, v any) error {
-	var buf []byte
-	bw := &appendWriter{buf: &buf}
-	if err := gob.NewEncoder(bw).Encode(v); err != nil {
-		return err
-	}
-	return writeFrame(w, buf)
-}
-
-// appendWriter is an io.Writer over a caller-owned byte slice.
-type appendWriter struct{ buf *[]byte }
-
-func (a *appendWriter) Write(p []byte) (int, error) {
-	*a.buf = append(*a.buf, p...)
-	return len(p), nil
 }
 
 // Decode reads one entry written by Encode. Truncation, corrupt length
@@ -256,32 +114,18 @@ func (a *appendWriter) Write(p []byte) (int, error) {
 // Decode never panics and never allocates past MaxChunks interface
 // slots ahead of validated frames.
 func Decode(r io.Reader) (*Entry, error) {
-	hp, err := readFrame(r)
-	if err != nil {
-		if err == io.EOF {
-			return nil, io.ErrUnexpectedEOF
-		}
-		return nil, err
-	}
 	var h header
-	if err := gobDecode(hp, &h); err != nil {
-		return nil, fmt.Errorf("spill: decoding header: %w", err)
+	if err := readValue(r, &h); err != nil {
+		return nil, err
 	}
 	if h.NChunks < 0 || h.NChunks > MaxChunks || h.Frames < 0 || h.Frames > h.NChunks {
 		return nil, fmt.Errorf("spill: header claims %d chunks, %d frames", h.NChunks, h.Frames)
 	}
 	e := &Entry{Space: h.Space, ID: h.ID, Part: h.Part, Owner: h.Owner, Chunks: make([]any, h.NChunks)}
 	for f := 0; f < h.Frames; f++ {
-		cp, err := readFrame(r)
-		if err != nil {
-			if err == io.EOF {
-				return nil, io.ErrUnexpectedEOF
-			}
-			return nil, err
-		}
 		var cf chunkFrame
-		if err := gobDecode(cp, &cf); err != nil {
-			return nil, fmt.Errorf("spill: decoding chunk frame %d: %w", f, err)
+		if err := readValue(r, &cf); err != nil {
+			return nil, err
 		}
 		if cf.Index < 0 || cf.Index >= h.NChunks {
 			return nil, fmt.Errorf("spill: chunk index %d out of %d buckets", cf.Index, h.NChunks)
@@ -294,7 +138,7 @@ func Decode(r io.Reader) (*Entry, error) {
 		}
 		e.Chunks[cf.Index] = cf.Chunk
 	}
-	if _, err := readFrame(r); err != io.EOF {
+	if _, err := codec.ReadFrame(r, codec.MaxFrame); err != io.EOF {
 		if err == nil {
 			return nil, errors.New("spill: trailing frame after entry")
 		}
@@ -303,29 +147,13 @@ func Decode(r io.Reader) (*Entry, error) {
 	return e, nil
 }
 
-// gobDecode decodes one gob payload, converting any decoder panic into
-// an error (defense in depth over gob's own hardening).
-func gobDecode(payload []byte, v any) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("spill: gob panic: %v", r)
-		}
-	}()
-	return gob.NewDecoder(bytesReader(payload)).Decode(v)
-}
-
-// bytesReader avoids importing bytes for one call site.
-func bytesReader(p []byte) io.Reader { return &sliceReader{p: p} }
-
-type sliceReader struct{ p []byte }
-
-func (s *sliceReader) Read(b []byte) (int, error) {
-	if len(s.p) == 0 {
-		return 0, io.EOF
+// readValue reads one frame into v; a stream ending where a frame must
+// follow is truncation.
+func readValue(r io.Reader, v any) error {
+	if err := codec.ReadValue(r, v); err != io.EOF {
+		return err
 	}
-	n := copy(b, s.p)
-	s.p = s.p[n:]
-	return n, nil
+	return io.ErrUnexpectedEOF
 }
 
 // WriteEntryFile encodes e to path via a temporary sibling and rename,

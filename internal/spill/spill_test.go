@@ -9,6 +9,8 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+
+	"hpcmr/internal/codec"
 )
 
 type kv struct {
@@ -133,7 +135,7 @@ func TestDecodeTrailingGarbage(t *testing.T) {
 	raw := encodeEntry(t, sampleEntry())
 	var extra bytes.Buffer
 	extra.Write(raw)
-	if err := writeFrame(&extra, []byte("stowaway")); err != nil {
+	if err := codec.WriteFrame(&extra, []byte("stowaway")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Decode(bytes.NewReader(extra.Bytes())); err == nil {
@@ -143,7 +145,7 @@ func TestDecodeTrailingGarbage(t *testing.T) {
 
 func TestDecodeCorruptPrefixNoOverAllocation(t *testing.T) {
 	// A header frame claiming a huge under-limit payload against a short
-	// stream must fail without allocating near the claim (the dist frame
+	// stream must fail without allocating near the claim (the codec frame
 	// guarantee, inherited).
 	var buf bytes.Buffer
 	var hdr [8]byte
@@ -164,23 +166,19 @@ func TestDecodeCorruptPrefixNoOverAllocation(t *testing.T) {
 func TestDecodeFrameTooLarge(t *testing.T) {
 	var buf bytes.Buffer
 	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[:4], MaxFrame+1)
+	binary.BigEndian.PutUint32(hdr[:4], codec.MaxFrame+1)
 	buf.Write(hdr[:])
-	var tooBig *ErrFrameTooLarge
+	var tooBig *codec.ErrFrameTooLarge
 	if _, err := Decode(bytes.NewReader(buf.Bytes())); !errors.As(err, &tooBig) {
 		t.Fatalf("got %v, want ErrFrameTooLarge", err)
 	}
 }
 
 func TestDecodeChecksum(t *testing.T) {
-	var buf bytes.Buffer
-	if err := writeFrame(&buf, []byte("payload")); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	raw[len(raw)-1] ^= 0x01 // corrupt the body, keep the length
-	if _, err := readFrame(bytes.NewReader(raw)); err != ErrChecksum {
-		t.Fatalf("got %v, want ErrChecksum", err)
+	raw := encodeEntry(t, sampleEntry())
+	raw[len(raw)-1] ^= 0x01 // corrupt the last chunk's body, keep its length
+	if _, err := Decode(bytes.NewReader(raw)); !errors.Is(err, codec.ErrChecksum) {
+		t.Fatalf("got %v, want codec.ErrChecksum", err)
 	}
 }
 

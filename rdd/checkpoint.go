@@ -1,7 +1,6 @@
 package rdd
 
 import (
-	"encoding/gob"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,35 +8,43 @@ import (
 	"strings"
 
 	"hpcmr/engine"
+	"hpcmr/internal/codec"
+	"hpcmr/internal/spill"
 )
 
-// SaveAsGob checkpoints an RDD to dir as one gob-encoded part-NNNNN
-// file per partition. Unlike Cache (memory-resident, lost with the
-// context), a gob checkpoint survives the process and truncates lineage
-// when reloaded with LoadGob. T must be gob-encodable.
+// SaveAsGob checkpoints an RDD to dir as one part-NNNNN file per
+// partition: a spill entry (space "checkpoint", Part = partition) whose
+// single chunk is the partition's []T, in CRC-checked codec frames.
+// Unlike Cache (memory-resident, lost with the context), a checkpoint
+// survives the process and truncates lineage when reloaded with LoadGob.
+// T must be gob-encodable.
 func SaveAsGob[T any](r *RDD[T], dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("rdd: SaveAsGob: %w", err)
 	}
 	return r.n.runJob("saveAsGob", func(part int, chunks []any) error {
-		typed := flattenChunks[T](chunks)
+		e := &spill.Entry{Space: checkpointSpace, Part: part, Owner: -1,
+			Chunks: boxBuckets([][]T{flattenChunks[T](chunks)})}
 		name := filepath.Join(dir, fmt.Sprintf("part-%05d", part))
-		f, err := os.Create(name)
-		if err != nil {
-			return err
-		}
-		enc := gob.NewEncoder(f)
-		if err := enc.Encode(typed); err != nil {
-			f.Close()
+		if _, err := spill.WriteEntryFile(name, e); err != nil {
 			return fmt.Errorf("rdd: SaveAsGob part %d: %w", part, err)
 		}
-		return f.Close()
+		return nil
 	})
 }
 
+const checkpointSpace = "checkpoint"
+
 // LoadGob reads a checkpoint written by SaveAsGob: one partition per
-// part file, in name order. The element type must match the one saved.
+// part file, in name order. A part that fails its checksum, names
+// another partition, or holds a chunk other than []T fails the action
+// that reads it.
 func LoadGob[T any](c *Context, dir string) (*RDD[T], error) {
+	// The chunk decodes through an interface field, so []T must be
+	// registered in this process even if it never saved one.
+	if err := codec.Register([]T(nil)); err != nil {
+		return nil, fmt.Errorf("rdd: LoadGob: %w", err)
+	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("rdd: LoadGob: %w", err)
@@ -55,19 +62,22 @@ func LoadGob[T any](c *Context, dir string) (*RDD[T], error) {
 	execs := c.Executors()
 	n := newNode(c, len(parts), nil, nil,
 		func(part int, _ *engine.TaskContext, sink func(any)) error {
-			f, err := os.Open(parts[part])
+			e, err := spill.ReadEntryFile(parts[part], checkpointSpace, 0, part)
 			if err != nil {
-				return err
-			}
-			defer f.Close()
-			var typed []T
-			if err := gob.NewDecoder(f).Decode(&typed); err != nil {
 				return fmt.Errorf("rdd: LoadGob part %d: %w", part, err)
 			}
-			// The decoded partition is sunk whole as one chunk.
-			if len(typed) > 0 {
-				sink(typed)
+			if len(e.Chunks) != 1 {
+				return fmt.Errorf("rdd: LoadGob part %d: %d chunks, want 1", part, len(e.Chunks))
 			}
+			if e.Chunks[0] == nil {
+				return nil
+			}
+			typed, ok := e.Chunks[0].([]T)
+			if !ok {
+				return fmt.Errorf("rdd: LoadGob part %d: chunk is %T, want %T", part, e.Chunks[0], typed)
+			}
+			// The decoded partition is sunk whole as one chunk.
+			sink(typed)
 			return nil
 		},
 		func(part int) []int { return []int{part % execs} },

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"hpcmr/engine"
+	"hpcmr/internal/spill"
 )
 
 // Table-driven failure-path tests for the gob checkpoint code: what
@@ -71,6 +72,47 @@ func TestLoadGobFailurePaths(t *testing.T) {
 			},
 			actionErr: true,
 		},
+		{
+			name: "part file bit flipped",
+			corrupt: func(t *testing.T, dir string) {
+				// The last byte is the partition's final value: read
+				// unchecked, this flip turns 200 into 201.
+				path := filepath.Join(dir, "part-00000")
+				raw, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				raw[len(raw)-1] ^= 0x02
+				if err := os.WriteFile(path, raw, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			},
+			actionErr: true,
+		},
+		{
+			name: "part file copied over another",
+			corrupt: func(t *testing.T, dir string) {
+				raw, err := os.ReadFile(filepath.Join(dir, "part-00001"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, "part-00000"), raw, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			},
+			actionErr: true,
+		},
+		{
+			name: "valid entry holding the wrong type",
+			corrupt: func(t *testing.T, dir string) {
+				e := &spill.Entry{Space: "checkpoint", Part: 0, Owner: -1,
+					Chunks: []any{[]string{"not", "ints"}}}
+				if _, err := spill.WriteEntryFile(filepath.Join(dir, "part-00000"), e); err != nil {
+					t.Fatal(err)
+				}
+			},
+			actionErr: true,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -80,7 +122,7 @@ func TestLoadGobFailurePaths(t *testing.T) {
 			}
 			defer c.Stop()
 			dir := filepath.Join(t.TempDir(), "ckpt")
-			if err := SaveAsGob(Parallelize(c, []int{1, 2, 3, 4, 5, 6}, 3), dir); err != nil {
+			if err := SaveAsGob(Parallelize(c, []int{100, 200, 300, 400, 500, 600}, 3), dir); err != nil {
 				t.Fatal(err)
 			}
 			tc.corrupt(t, dir)
@@ -97,9 +139,9 @@ func TestLoadGobFailurePaths(t *testing.T) {
 			if tc.name == "part file deleted after load enumerates" {
 				os.Remove(filepath.Join(dir, "part-00000"))
 			}
-			_, err = loaded.Collect()
+			got, err := loaded.Collect()
 			if tc.actionErr && err == nil {
-				t.Fatal("Collect succeeded on a damaged checkpoint")
+				t.Fatalf("Collect succeeded on a damaged checkpoint: %v", got)
 			}
 			if !tc.actionErr && err != nil {
 				t.Fatalf("Collect: %v", err)
