@@ -1,20 +1,22 @@
-// Command cigate is the single CI gatekeeper: every quantitative gate
-// the workflow enforces (coverage floor, trace-capture overhead,
-// kernel speedup margin, perf regression) runs through this one Go
-// tool, so the exact same logic runs locally and in CI — no inline
-// script heredocs to drift.
+// Command cigate is the single gatekeeper: every pass/fail performance
+// or quality gate (coverage floor, trace-capture overhead, kernel
+// speedup margin, A/B timing, perf regression) runs through this one Go
+// tool, so the exact same logic runs locally and in CI. The measuring
+// gates run their scenarios through perf.RunScenarios themselves;
+// cmd/mrperf only writes reports.
 //
 //	cigate coverage -profile /tmp/cover.out -floor 70
-//	cigate trace-overhead -input /tmp/trace_overhead.json -max 0.05
-//	cigate kernel -input /tmp/bench_kernel.json -min-speedup 3 -min-peak 4000
+//	cigate trace-overhead -max 0.05
+//	cigate kernel -min-speedup 3 -min-peak 4000
+//	cigate ab
 //	cigate perf -baseline BENCH_perf.json -current /tmp/bench_perf.json
 //
 // Each subcommand prints the measured numbers, then exits 1 when its
-// gate fails (2 on usage/IO errors).
+// gate fails (2 on usage/IO/measurement errors).
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -33,6 +35,8 @@ func main() {
 		traceOverheadCmd(os.Args[2:])
 	case "kernel":
 		kernelCmd(os.Args[2:])
+	case "ab":
+		abCmd(os.Args[2:])
 	case "perf":
 		perfCmd(os.Args[2:])
 	default:
@@ -41,7 +45,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: cigate {coverage|trace-overhead|kernel|perf} [flags]")
+	fmt.Fprintln(os.Stderr, "usage: cigate {coverage|trace-overhead|kernel|ab|perf} [flags]")
 	os.Exit(2)
 }
 
@@ -66,29 +70,63 @@ func coverageCmd(args []string) {
 
 func traceOverheadCmd(args []string) {
 	fs := flag.NewFlagSet("cigate trace-overhead", flag.ExitOnError)
-	input := fs.String("input", "/tmp/trace_overhead.json", "tracebench JSON report")
 	maxOv := fs.Float64("max", 0.05, "maximum allowed relative overhead")
 	fs.Parse(args)
 
-	var rep perf.TraceOverheadReport
-	loadJSON(*input, &rep)
+	m, err := perf.MeasureTraceOverhead()
+	if err != nil {
+		fatal("%v", err)
+	}
 	fmt.Printf("trace overhead: %+.2f%% (untraced %.4fs, traced %.4fs, %d events / %d tasks)\n",
-		rep.Overhead*100, rep.UntracedSeconds, rep.TracedSeconds, rep.Events, rep.Tasks)
-	gate(perf.CheckTraceOverhead(rep, *maxOv))
+		m.Overhead()*100, m.UntracedSeconds, m.TracedSeconds, m.Events, m.Tasks)
+	gate(perf.CheckTraceOverhead(m, *maxOv))
 }
 
 func kernelCmd(args []string) {
 	fs := flag.NewFlagSet("cigate kernel", flag.ExitOnError)
-	input := fs.String("input", "/tmp/bench_kernel.json", "kernelbench JSON report")
 	minSpeedup := fs.Float64("min-speedup", 3, "minimum incremental/brute speedup")
 	minPeak := fs.Int("min-peak", 4000, "minimum peak concurrent flows")
 	fs.Parse(args)
 
-	var b perf.KernelBaseline
-	loadJSON(*input, &b)
+	scens, err := perf.Select("kernel/*")
+	if err != nil {
+		fatal("%v", err)
+	}
+	rep, err := perf.RunScenarios(scens, perf.RunOptions{Reps: 5, Warmup: 1}, nil)
+	if err != nil {
+		fatal("%v", err)
+	}
+	speedup, peak, err := perf.KernelSpeedup(rep)
+	if err != nil {
+		fatal("%v", err)
+	}
 	fmt.Printf("kernel speedup: %.2fx (peak %d flows, incremental %.1f ms, brute %.1f ms)\n",
-		b.Speedup, b.PeakFlows, float64(b.IncrementalNsPerOp)/1e6, float64(b.BruteNsPerOp)/1e6)
-	gate(perf.CheckKernel(b, *minSpeedup, *minPeak))
+		speedup, peak, rep.Scenario("kernel/churn-incremental").Stats.MedianNs/1e6,
+		rep.Scenario("kernel/churn-brute").Stats.MedianNs/1e6)
+	gate(perf.CheckKernel(speedup, peak, *minSpeedup, *minPeak))
+}
+
+// abCmd runs every perf.ABPairs pair at short scale, both arms in one
+// interleaved RunScenarios call, and requires each A arm to be faster
+// than its twin at p < 0.05.
+func abCmd(args []string) {
+	fs := flag.NewFlagSet("cigate ab", flag.ExitOnError)
+	fs.Parse(args)
+
+	var failed []error
+	for _, pair := range perf.ABPairs {
+		a, b, err := perf.RunAB(pair, perf.RunOptions{Short: true, Reps: 15, Warmup: 2}, nil)
+		if err != nil {
+			fatal("%v", err)
+		}
+		p, err := perf.CheckAB(a, b, 0.05)
+		fmt.Printf("%s vs %s: median %.2fms vs %.2fms, p=%.4f\n",
+			a.Name, b.Name, a.Stats.MedianNs/1e6, b.Stats.MedianNs/1e6, p)
+		if err != nil {
+			failed = append(failed, err)
+		}
+	}
+	gate(errors.Join(failed...))
 }
 
 func perfCmd(args []string) {
@@ -126,16 +164,6 @@ func gate(err error) {
 		os.Exit(1)
 	}
 	fmt.Println("cigate: ok")
-}
-
-func loadJSON(path string, v any) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fatal("%v", err)
-	}
-	if err := json.Unmarshal(data, v); err != nil {
-		fatal("%s: %v", path, err)
-	}
 }
 
 func fatal(format string, args ...any) {

@@ -14,6 +14,7 @@ package engine
 import (
 	"fmt"
 	"runtime"
+	"time"
 
 	"hpcmr/internal/sched"
 )
@@ -107,21 +108,9 @@ type Config struct {
 	// periodic crash-trigger check). Pass a *fault.Injector to replay a
 	// deterministic fault plan against the runtime.
 	Faults FaultInjector
-	// FaultCheckIntervalSeconds is the period of the time-based
-	// crash-trigger poll while a stage runs (default 0.01 s).
-	FaultCheckIntervalSeconds float64
 	// MaxFetchRetries is how many attempts FetchShuffleChunks makes
 	// against transient fetch faults before giving up (default 3).
 	MaxFetchRetries int
-	// FetchRetryBackoffSeconds is FetchShuffleChunks's initial retry
-	// backoff; it doubles per attempt (default 0.002 s).
-	FetchRetryBackoffSeconds float64
-	// RunQueueDepth bounds each executor's persistent-worker run queue
-	// (default 2 x CoresPerExecutor). Dispatch never blocks on a full
-	// queue; overflow attempts fall back to a dedicated goroutine, so
-	// the depth only tunes how much goroutine-spawn traffic the workers
-	// absorb under concurrent stages.
-	RunQueueDepth int
 	// MemoryBudget caps the accounted resident bytes of shuffle output
 	// and cached partitions, in bytes; 0 means unbounded (everything
 	// stays in RAM, the pre-budget behavior). Over budget, the runtime
@@ -134,6 +123,22 @@ type Config struct {
 	// Close; a caller-provided directory is created but left in place.
 	SpillDir string
 }
+
+// Fixed runtime tunings that no caller has needed to change.
+const (
+	// faultCheckInterval is the period of the time-based crash-trigger
+	// poll while a stage runs.
+	faultCheckInterval = 10 * time.Millisecond
+	// fetchRetryBackoff is FetchShuffleChunks's initial retry backoff;
+	// it doubles per attempt.
+	fetchRetryBackoff = 2 * time.Millisecond
+	// runQueueSlotsPerCore sizes each executor's persistent-worker run
+	// queue (slots per core). Dispatch never blocks on a full queue;
+	// overflow attempts fall back to a dedicated goroutine, so the depth
+	// only tunes how much goroutine-spawn traffic the workers absorb
+	// under concurrent stages.
+	runQueueSlotsPerCore = 2
+)
 
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
@@ -161,17 +166,8 @@ func (c Config) withDefaults() Config {
 	if c.SpeculationIntervalSeconds <= 0 {
 		c.SpeculationIntervalSeconds = 0.05
 	}
-	if c.FaultCheckIntervalSeconds <= 0 {
-		c.FaultCheckIntervalSeconds = 0.01
-	}
 	if c.MaxFetchRetries <= 0 {
 		c.MaxFetchRetries = 3
-	}
-	if c.FetchRetryBackoffSeconds <= 0 {
-		c.FetchRetryBackoffSeconds = 0.002
-	}
-	if c.RunQueueDepth <= 0 {
-		c.RunQueueDepth = 2 * c.CoresPerExecutor
 	}
 	return c
 }

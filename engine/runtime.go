@@ -112,7 +112,7 @@ func New(cfg Config) (*Runtime, error) {
 		rt.shuffle = NewShuffleStore()
 	}
 	for e := range rt.workers {
-		rt.workers[e] = newExecWorkers(e, cfg.CoresPerExecutor, cfg.RunQueueDepth)
+		rt.workers[e] = newExecWorkers(e, cfg.CoresPerExecutor, runQueueSlotsPerCore*cfg.CoresPerExecutor)
 	}
 	return rt, nil
 }
@@ -275,8 +275,7 @@ func (rt *Runtime) checkTimeCrashes() {
 // against transient injected fetch faults. Missing map output is
 // returned immediately (not transient; lineage must repair it).
 func (rt *Runtime) fetchRetrying(tc *TaskContext, shuffleID, reducePart int, fetch func() error) error {
-	backoff := time.Duration(rt.cfg.FetchRetryBackoffSeconds * float64(time.Second))
-	err := RetryFetch(rt.cfg.MaxFetchRetries, backoff,
+	err := RetryFetch(rt.cfg.MaxFetchRetries, fetchRetryBackoff,
 		func(attempt int, backoff time.Duration, last error) {
 			rt.auditFault("fetch-retry", tc.Executor, float64(attempt),
 				fmt.Sprintf("shuffle=%d part=%d backoff=%s: %v", shuffleID, reducePart, backoff, last))
@@ -863,8 +862,7 @@ func (st *stageState) scheduleSpeculationCheck() {
 
 // scheduleFaultCheck arms the periodic time-based crash-trigger poll.
 func (st *stageState) scheduleFaultCheck() {
-	interval := time.Duration(st.rt.cfg.FaultCheckIntervalSeconds * float64(time.Second))
-	time.AfterFunc(interval, func() {
+	time.AfterFunc(faultCheckInterval, func() {
 		st.mu.Lock()
 		fin := st.finished || st.remaining == 0
 		st.mu.Unlock()

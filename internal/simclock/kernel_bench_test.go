@@ -9,8 +9,8 @@ import (
 // kernel: >=4,000 concurrent flows across >=200 resources under high
 // start/finish/capacity churn. The /brute sub-benchmark runs the same
 // scenario on the recompute-the-world oracle; the incremental kernel must
-// beat it by >=3x (see BENCH_kernel.json for the recorded baseline,
-// regenerated by cmd/kernelbench).
+// beat it by >=3x, which `go run ./cmd/cigate kernel` gates through the
+// perf kernel/churn scenarios.
 func BenchmarkKernelChurn(b *testing.B) {
 	for _, k := range []struct {
 		name  string

@@ -4,30 +4,26 @@ import (
 	"testing"
 )
 
+// The two A/B tests below pin the deterministic side of each pair: the
+// volume and placement counters the optimization exists to change.
+// Whether the A arm is also faster is a wall-clock judgement, which
+// `cigate ab` makes in its own CI step so host load cannot fail this
+// suite.
+
 // TestMapSideCombineABGate is the acceptance A/B for map-side
-// combining: the low-cardinality aggregation scenario run with the
-// combiner enabled must move at least 5x fewer shuffle records than
-// the combine-disabled twin, and be faster by a statistically
-// significant margin (Mann-Whitney, p < 0.05). With 100k records over
-// 128 keys the combined path moves ~2k records where the disabled
-// path moves all 100k, so both margins are decisive, not marginal.
+// combining: the low-cardinality aggregation run with the combiner
+// enabled must move at least 5x fewer shuffle records, and fewer
+// shuffle bytes, than the combine-disabled twin. With 100k records over
+// 128 keys the combined path moves ~2k records where the disabled path
+// moves all 100k, so the margin is decisive, not marginal.
 func TestMapSideCombineABGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full A/B measurement in -short")
 	}
-	run := func(name string) *ScenarioResult {
-		scens, err := Select(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := RunScenarios(scens, RunOptions{Short: true, Reps: 9, Warmup: 2}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep.Scenario(name)
+	combined, disabled, err := RunAB(ABPairs[0], RunOptions{Short: true, Reps: 9, Warmup: 2}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	combined := run("engine/agg-lowcard")
-	disabled := run("engine/agg-lowcard-nocombine")
 
 	combRecs := combined.Extra["shuffle_records_moved"]
 	plainRecs := disabled.Extra["shuffle_records_moved"]
@@ -42,54 +38,30 @@ func TestMapSideCombineABGate(t *testing.T) {
 	if cb, pb := combined.Extra["shuffle_bytes_moved"], disabled.Extra["shuffle_bytes_moved"]; cb >= pb {
 		t.Fatalf("combined shuffle bytes %.0f not below disabled %.0f", cb, pb)
 	}
-
-	p := MannWhitneyU(combined.SamplesNs, disabled.SamplesNs)
-	if combined.Stats.MedianNs >= disabled.Stats.MedianNs || p >= 0.05 {
-		t.Fatalf("combined not significantly faster: median %.2fms vs %.2fms, p=%.4f",
-			combined.Stats.MedianNs/1e6, disabled.Stats.MedianNs/1e6, p)
-	}
 }
 
 // TestPagerankLocalityABGate is the acceptance A/B for shuffle-locality
 // placement: the iterative pagerank scenario with placement on must
-// resolve >= 90% of its gather bytes through the co-located zero-copy
-// path and beat the locality-disabled twin's wall time by a
-// statistically significant margin (Mann-Whitney, p < 0.05) on a
-// single-node 4-executor cluster. The disabled twin pays gob
-// encode/decode and loopback TCP for almost every gather, so the
-// superstep win is structural, not marginal.
+// resolve a median >= 90% of its gather bytes through the co-located
+// zero-copy path, and move fewer remote fetch bytes than the
+// locality-disabled twin, on a single-node 4-executor cluster.
 func TestPagerankLocalityABGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full A/B measurement in -short")
 	}
-	run := func(name string) *ScenarioResult {
-		scens, err := Select(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := RunScenarios(scens, RunOptions{Short: true, Reps: 9, Warmup: 2}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep.Scenario(name)
+	local, remote, err := RunAB(ABPairs[1], RunOptions{Short: true, Reps: 9, Warmup: 2}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	local := run("engine/iterative-pagerank")
-	remote := run("engine/iterative-pagerank-nolocality")
 
 	ratio, ok := local.Extra["shuffle_local_fetch_ratio"]
 	if !ok {
 		t.Fatalf("locality scenario reported no shuffle_local_fetch_ratio: %v", local.Extra)
 	}
 	if ratio < 0.9 {
-		t.Fatalf("local fetch ratio %.4f, want >= 0.9", ratio)
+		t.Fatalf("median local fetch ratio %.4f, want >= 0.9", ratio)
 	}
 	if lb, rb := local.Extra["remote_fetch_bytes"], remote.Extra["remote_fetch_bytes"]; lb >= rb {
 		t.Fatalf("locality-on moved %.0f remote bytes, not below locality-off's %.0f", lb, rb)
-	}
-
-	p := MannWhitneyU(local.SamplesNs, remote.SamplesNs)
-	if local.Stats.MedianNs >= remote.Stats.MedianNs || p >= 0.05 {
-		t.Fatalf("locality not significantly faster: median %.2fms vs %.2fms, p=%.4f",
-			local.Stats.MedianNs/1e6, remote.Stats.MedianNs/1e6, p)
 	}
 }

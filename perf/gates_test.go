@@ -66,29 +66,67 @@ func TestCheckCoverage(t *testing.T) {
 }
 
 func TestCheckTraceOverhead(t *testing.T) {
-	ok := TraceOverheadReport{Tasks: 512, Events: 1030, Overhead: 0.03}
+	ok := TraceOverhead{Tasks: 512, Events: 1030, UntracedSeconds: 1, TracedSeconds: 1.03}
 	if err := CheckTraceOverhead(ok, 0.05); err != nil {
 		t.Errorf("within budget failed: %v", err)
 	}
-	slow := TraceOverheadReport{Tasks: 512, Events: 1030, Overhead: 0.09}
+	slow := TraceOverhead{Tasks: 512, Events: 1030, UntracedSeconds: 1, TracedSeconds: 1.09}
 	if err := CheckTraceOverhead(slow, 0.05); err == nil {
 		t.Error("9% overhead passed a 5% budget")
 	}
-	lossy := TraceOverheadReport{Tasks: 512, Events: 100, Overhead: 0.01}
+	lossy := TraceOverhead{Tasks: 512, Events: 100, UntracedSeconds: 1, TracedSeconds: 1.01}
 	if err := CheckTraceOverhead(lossy, 0.05); err == nil {
 		t.Error("fewer events than tasks passed")
 	}
 }
 
 func TestCheckKernel(t *testing.T) {
-	ok := KernelBaseline{Speedup: 5.5, PeakFlows: 4700}
-	if err := CheckKernel(ok, 3, 4000); err != nil {
+	if err := CheckKernel(5.5, 4700, 3, 4000); err != nil {
 		t.Errorf("healthy kernel failed: %v", err)
 	}
-	if err := CheckKernel(KernelBaseline{Speedup: 2.9, PeakFlows: 4700}, 3, 4000); err == nil {
+	if err := CheckKernel(2.9, 4700, 3, 4000); err == nil {
 		t.Error("lost speedup margin passed")
 	}
-	if err := CheckKernel(KernelBaseline{Speedup: 5.5, PeakFlows: 100}, 3, 4000); err == nil {
+	if err := CheckKernel(5.5, 100, 3, 4000); err == nil {
 		t.Error("under-scaled churn passed")
+	}
+}
+
+func TestKernelSpeedup(t *testing.T) {
+	rep := &Report{Scenarios: []ScenarioResult{
+		{Name: "kernel/churn-incremental", Stats: Stats{MedianNs: 2e6},
+			Extra: Extras{"peak_concurrent_flows": 4709}},
+		{Name: "kernel/churn-brute", Stats: Stats{MedianNs: 13e6},
+			Extra: Extras{"peak_concurrent_flows": 4709}},
+	}}
+	speedup, peak, err := KernelSpeedup(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(speedup-6.5) > 1e-9 || peak != 4709 {
+		t.Errorf("speedup %g peak %d, want 6.5 and 4709", speedup, peak)
+	}
+	rep.Scenarios = rep.Scenarios[:1]
+	if _, _, err := KernelSpeedup(rep); err == nil {
+		t.Error("report without the brute scenario accepted")
+	}
+}
+
+func TestCheckAB(t *testing.T) {
+	arm := func(name string, samples ...float64) *ScenarioResult {
+		return &ScenarioResult{Name: name, SamplesNs: samples, Stats: Summarize(samples)}
+	}
+	fast := arm("a", 10, 11, 12, 10, 11, 12, 10)
+	slow := arm("b", 20, 21, 22, 20, 21, 22, 20)
+	if p, err := CheckAB(fast, slow, 0.05); err != nil || p >= 0.05 {
+		t.Errorf("separated arms: p=%g err=%v", p, err)
+	}
+	if _, err := CheckAB(slow, fast, 0.05); err == nil {
+		t.Error("slower A arm passed")
+	}
+	// A lower median alone is not enough: the shift must be significant.
+	overlapping := arm("b", 10.1, 11.1, 12.1, 10.1, 11.1, 12.1, 10.1)
+	if _, err := CheckAB(fast, overlapping, 0.05); err == nil {
+		t.Error("insignificant shift passed")
 	}
 }

@@ -8,9 +8,11 @@
 // fingerprint so runs are comparable across commits.
 //
 // The compare side loads a baseline report and judges each scenario
-// with a Mann-Whitney U test plus a median-delta threshold — the
-// statistical gate every perf-sensitive PR runs against, locally via
-// `mrperf compare` and in CI via `cigate perf`.
+// with a Mann-Whitney U test plus a median-delta threshold. Every
+// pass/fail gate built on these pieces (baseline regression, the A/B
+// pairs, the kernel speedup margin, trace-capture overhead) runs
+// through cmd/cigate, locally and in CI; cmd/mrperf only writes
+// reports.
 package perf
 
 import (
@@ -73,11 +75,15 @@ func (o RunOptions) withDefaults() RunOptions {
 	return o
 }
 
-// RunScenarios executes the scenarios and assembles a Report. Each
-// scenario is warmed up, then repetitions are interleaved round-robin
-// (rep i of every scenario before rep i+1 of any) so slow drift of the
-// host machine spreads evenly over scenarios instead of biasing
-// whichever ran last. logf, when non-nil, receives progress lines.
+// RunScenarios executes the scenarios and assembles a Report. Every
+// scenario is warmed up first; then the measured repetitions run in
+// forward scenario order on even reps and in reverse order on odd reps.
+// With two scenarios that is A B B A A B …, so rep i of each arm is a
+// time-adjacent pair and slow drift of the host spreads evenly over the
+// arms instead of biasing whichever always ran second. Each result's
+// Extra is the per-key median over the measured reps (extras such as
+// the local-fetch ratio depend on scheduling, so one rep is not
+// representative). logf, when non-nil, receives progress lines.
 func RunScenarios(scens []Scenario, o RunOptions, logf func(format string, args ...any)) (*Report, error) {
 	o = o.withDefaults()
 	if len(scens) == 0 {
@@ -90,9 +96,11 @@ func RunScenarios(scens []Scenario, o RunOptions, logf func(format string, args 
 	}
 
 	results := make([]ScenarioResult, len(scens))
+	extras := make([]map[string][]float64, len(scens))
 	sc := Scale{Short: o.Short}
 	for i, s := range scens {
 		results[i] = ScenarioResult{Name: s.Name, Desc: s.Desc, Reps: o.Reps, Warmup: o.Warmup}
+		extras[i] = map[string][]float64{}
 		say("warmup %s (%d run(s))", s.Name, o.Warmup)
 		for w := 0; w < o.Warmup; w++ {
 			if _, _, _, err := measure(s, sc); err != nil {
@@ -101,7 +109,12 @@ func RunScenarios(scens []Scenario, o RunOptions, logf func(format string, args 
 		}
 	}
 	for rep := 0; rep < o.Reps; rep++ {
-		for i, s := range scens {
+		for k := range scens {
+			i := k
+			if rep%2 == 1 {
+				i = len(scens) - 1 - k
+			}
+			s := scens[i]
 			ns, allocs, extra, err := measure(s, sc)
 			if err != nil {
 				return nil, fmt.Errorf("perf: %s rep %d: %w", s.Name, rep, err)
@@ -109,7 +122,9 @@ func RunScenarios(scens []Scenario, o RunOptions, logf func(format string, args 
 			r := &results[i]
 			r.SamplesNs = append(r.SamplesNs, ns)
 			r.SamplesAllocs = append(r.SamplesAllocs, allocs)
-			r.Extra = extra
+			for key, v := range extra {
+				extras[i][key] = append(extras[i][key], v)
+			}
 			say("rep %d/%d %-34s %10.2f ms", rep+1, o.Reps, s.Name, ns/1e6)
 		}
 	}
@@ -117,6 +132,12 @@ func RunScenarios(scens []Scenario, o RunOptions, logf func(format string, args 
 		r := &results[i]
 		r.Stats = Summarize(r.SamplesNs)
 		r.AllocsPerOp = median(r.SamplesAllocs)
+		if len(extras[i]) > 0 {
+			r.Extra = Extras{}
+		}
+		for key, vs := range extras[i] {
+			r.Extra[key] = median(vs)
+		}
 	}
 	return &Report{
 		SchemaVersion: SchemaVersion,

@@ -3,6 +3,7 @@ package perf
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -114,6 +115,41 @@ func TestRunScenariosReportShape(t *testing.T) {
 	}
 	if rep.Env.GoVersion == "" || rep.Env.GOMAXPROCS == 0 {
 		t.Errorf("env fingerprint incomplete: %+v", rep.Env)
+	}
+}
+
+// TestRunScenariosPairsAndMedians pins the runner's measurement order
+// (every warmup first, then reps alternating forward and reverse, so
+// rep i of two arms is a time-adjacent pair) and that Extra is the
+// per-key median over the measured reps, not one arbitrary rep.
+func TestRunScenariosPairsAndMedians(t *testing.T) {
+	var order []string
+	fake := func(name string, vals ...float64) Scenario {
+		calls := 0
+		return Scenario{Name: name, Desc: name, Run: func(Scale) (Extras, error) {
+			order = append(order, name)
+			v := vals[calls]
+			calls++
+			return Extras{"v": v}, nil
+		}}
+	}
+	// One warmup value, then five measured reps whose last value is
+	// not the median.
+	a := fake("A", -1, 3, 1, 100, 2, 50)
+	b := fake("B", -1, 7, 7, 9, 8, 0)
+	rep, err := RunScenarios([]Scenario{a, b}, RunOptions{Reps: 5, Warmup: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"A", "B", "A", "B", "B", "A", "A", "B", "B", "A", "A", "B"}
+	if !slices.Equal(order, want) {
+		t.Errorf("run order %v, want %v", order, want)
+	}
+	if got := rep.Scenario("A").Extra["v"]; got != 3 {
+		t.Errorf("A extra v = %g, want the median 3", got)
+	}
+	if got := rep.Scenario("B").Extra["v"]; got != 7 {
+		t.Errorf("B extra v = %g, want the median 7", got)
 	}
 }
 

@@ -36,7 +36,9 @@ type ScenarioResult struct {
 	SamplesAllocs []float64 `json:"samples_allocs,omitempty"`
 	Stats         Stats     `json:"stats"`
 	AllocsPerOp   float64   `json:"allocs_per_op"`
-	Extra         Extras    `json:"extra,omitempty"`
+	// Extra holds the per-key median of the scenario's extras over the
+	// measured reps.
+	Extra Extras `json:"extra,omitempty"`
 }
 
 // Validate checks the report's internal consistency.

@@ -18,8 +18,9 @@ import (
 )
 
 // kernelScale sizes the simclock churn scenario: full is the headline
-// BENCH_kernel scale (peak >4000 concurrent flows), short a quarter of
-// it so the brute-force oracle stays affordable in CI.
+// scale the kernel speedup gate runs (peak >4000 concurrent flows),
+// short a quarter of it so the brute-force oracle stays affordable in
+// the short suite.
 func kernelScale(sc Scale) simclock.ChurnScale {
 	if sc.Short {
 		return simclock.ChurnScale{NRes: 100, NFlows: 2000, CapEvts: 200}
@@ -27,8 +28,8 @@ func kernelScale(sc Scale) simclock.ChurnScale {
 	return simclock.KernelChurnScale
 }
 
-func engineSpec(sc Scale, traced bool) EngineWorkloadSpec {
-	spec := EngineWorkloadSpec{Tasks: 1024, Executors: 4, Cores: 2, WorkUS: 100, Traced: traced}
+func engineSpec(sc Scale, traced bool) engineWorkloadSpec {
+	spec := engineWorkloadSpec{Tasks: 1024, Executors: 4, Cores: 2, WorkUS: 100, Traced: traced}
 	if sc.Short {
 		spec.Tasks, spec.WorkUS = 256, 40
 	}
@@ -61,7 +62,7 @@ func init() {
 		Desc: "runtime dispatch throughput: many ~100µs map tasks through the executor pool",
 		Run: func(sc Scale) (Extras, error) {
 			spec := engineSpec(sc, false)
-			secs, _, err := RunEngineWorkload(spec)
+			secs, _, err := runEngineWorkload(spec)
 			if err != nil {
 				return nil, err
 			}
@@ -108,7 +109,7 @@ func init() {
 		Desc: "the many-short-tasks workload with full trace capture (overhead numerator)",
 		Run: func(sc Scale) (Extras, error) {
 			spec := engineSpec(sc, true)
-			secs, events, err := RunEngineWorkload(spec)
+			secs, events, err := runEngineWorkload(spec)
 			if err != nil {
 				return nil, err
 			}

@@ -8,10 +8,10 @@ import (
 	"hpcmr/trace"
 )
 
-// EngineWorkloadSpec sizes the many-short-tasks engine workload shared
-// by the runtime-throughput and trace-overhead scenarios (and by the
-// tracebench shim).
-type EngineWorkloadSpec struct {
+// engineWorkloadSpec sizes the many-short-tasks engine workload shared
+// by the runtime-throughput and trace-capture scenarios and by the
+// trace-overhead gate.
+type engineWorkloadSpec struct {
 	Tasks     int
 	Executors int
 	Cores     int
@@ -22,10 +22,10 @@ type EngineWorkloadSpec struct {
 	Traced bool
 }
 
-// RunEngineWorkload builds a fresh engine, runs Tasks map tasks of
+// runEngineWorkload builds a fresh engine, runs Tasks map tasks of
 // ~WorkUS CPU each, and returns the wall seconds plus the captured
 // trace event count (0 untraced).
-func RunEngineWorkload(spec EngineWorkloadSpec) (seconds float64, events int, err error) {
+func runEngineWorkload(spec engineWorkloadSpec) (seconds float64, events int, err error) {
 	cfg := engine.Config{Executors: spec.Executors, CoresPerExecutor: spec.Cores}
 	var tr *trace.Tracer
 	if spec.Traced {
